@@ -14,7 +14,8 @@
 // probe by id. The JSON form emits an array of {name, n, ns_per_op,
 // allocs_per_op, bytes_per_op} objects, the shape tracked across PRs in
 // BENCH_*.json files. -check re-runs the gated probes and exits nonzero
-// when any is more than 25% slower (ns/op) than the baseline file.
+// when any is more than 25% slower (ns/op) than the baseline file or
+// allocates more per operation (allocs/op) than it records.
 //
 // -history FILE appends one JSON line per run — timestamp, git commit,
 // and the probe results — to FILE (with -bench or -check). The line is
@@ -50,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bench := fs.Bool("bench", false, "run perf probes instead of figure reports")
 	asJSON := fs.Bool("json", false, "with -bench: emit machine-readable JSON")
 	workers := fs.Int("workers", 0, "worker count for the unsuffixed probes (0 = sequential, the baseline-comparable configuration; note pwq's -workers 0 means GOMAXPROCS)")
-	check := fs.String("check", "", "baseline BENCH_*.json: run gated probes, exit 1 on >25% ns/op regression")
+	check := fs.String("check", "", "baseline BENCH_*.json: run gated probes, exit 1 on >25% ns/op or allocs/op growth")
 	history := fs.String("history", "", "append one timestamped, git-SHA-stamped JSON line of results to this file (with -bench or -check)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -185,7 +186,7 @@ func runCheck(baselinePath, historyPath string, stdout, stderr io.Writer) int {
 		current = append(current, res...)
 	}
 	for _, r := range current {
-		fmt.Fprintf(stdout, "%-28s %14.0f ns/op\n", r.Name, r.NsPerOp)
+		fmt.Fprintf(stdout, "%-28s %14.0f ns/op %8d allocs/op\n", r.Name, r.NsPerOp, r.AllocsPerOp)
 	}
 	if err := appendHistory(historyPath, current); err != nil {
 		fmt.Fprintf(stderr, "pwbench: %v\n", err)
@@ -204,7 +205,7 @@ func runCheck(baselinePath, historyPath string, stdout, stderr io.Writer) int {
 		}
 		return 1
 	}
-	fmt.Fprintf(stdout, "pwbench: gated probes within %.0f%% of %s\n",
-		100*experiments.CheckTolerance, baselinePath)
+	fmt.Fprintf(stdout, "pwbench: gated probes within %.0f%% ns/op and %d allocs/op of %s\n",
+		100*experiments.CheckTolerance, experiments.AllocSlack, baselinePath)
 	return 0
 }

@@ -34,10 +34,21 @@ var GatedProbes = []string{
 // before declaring a regression (0.25 = 25% slower than baseline).
 const CheckTolerance = 0.25
 
+// AllocSlack is the allocs/op headroom the guard allows over the
+// baseline. testing.B reports allocs/op as a truncated per-iteration
+// average, so allocations made once per run (setup, worker goroutines,
+// runtime background work) tip it by one depending on the iteration
+// count; the same code measured 13520 and 13521 on WSDUpdate_Full_1M.
+// Anything beyond that is an allocation the code makes per operation.
+const AllocSlack = 1
+
 // Check compares current probe results against a baseline and returns one
 // message per regression: a gated probe whose ns/op exceeds baseline by
-// more than tolerance, or a gated probe missing from either run. An empty
-// result means the gate passes.
+// more than tolerance, a gated probe whose allocs/op exceeds the
+// baseline's (beyond AllocSlack; a baseline entry without an allocs/op
+// figure is gated on ns/op only), or a gated probe missing from either
+// run. Allocs/op does not depend on the machine, so unlike ns/op it
+// gates exactly across runners. An empty result means the gate passes.
 func Check(baseline, current []BenchResult, tolerance float64) []string {
 	base := make(map[string]BenchResult, len(baseline))
 	for _, r := range baseline {
@@ -66,11 +77,18 @@ func Check(baseline, current []BenchResult, tolerance float64) []string {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: worker-count mismatch (baseline %d, current %d) — regenerate the baseline with the default -workers",
 					name, b.Workers, c.Workers))
-		case c.NsPerOp > b.NsPerOp*(1+tolerance):
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f ns/op (%+.1f%%, tolerance %.0f%%)",
-					name, c.NsPerOp, b.NsPerOp,
-					100*(c.NsPerOp-b.NsPerOp)/b.NsPerOp, 100*tolerance))
+		default:
+			if c.NsPerOp > b.NsPerOp*(1+tolerance) {
+				regressions = append(regressions,
+					fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f ns/op (%+.1f%%, tolerance %.0f%%)",
+						name, c.NsPerOp, b.NsPerOp,
+						100*(c.NsPerOp-b.NsPerOp)/b.NsPerOp, 100*tolerance))
+			}
+			if b.AllocsPerOp > 0 && c.AllocsPerOp > b.AllocsPerOp+AllocSlack {
+				regressions = append(regressions,
+					fmt.Sprintf("%s: %d allocs/op vs baseline %d allocs/op (%+d)",
+						name, c.AllocsPerOp, b.AllocsPerOp, c.AllocsPerOp-b.AllocsPerOp))
+			}
 		}
 	}
 	return regressions

@@ -58,6 +58,45 @@ func TestCheckFlagsWorkerMismatch(t *testing.T) {
 	}
 }
 
+// withAllocs sets every result's allocs/op (the results helper leaves
+// them zero, which Check reads as "not recorded").
+func withAllocs(rs []BenchResult, allocs int64) []BenchResult {
+	for i := range rs {
+		rs[i].AllocsPerOp = allocs
+	}
+	return rs
+}
+
+func TestCheckFlagsAllocRegression(t *testing.T) {
+	base := withAllocs(results(1000, 2000, 3000), 100)
+	cur := withAllocs(results(1000, 2000, 3000), 100)
+	cur[2].AllocsPerOp = 100 + AllocSlack + 1 // same speed, more allocations
+	regs := Check(base, cur, CheckTolerance)
+	if len(regs) != 1 || !strings.Contains(regs[0], GatedProbes[2]) || !strings.Contains(regs[0], "allocs/op") {
+		t.Fatalf("want one allocs/op regression on %s, got %v", GatedProbes[2], regs)
+	}
+	// A probe can regress on both axes at once: both are reported.
+	cur[2].NsPerOp = 2 * base[2].NsPerOp
+	if regs := Check(base, cur, CheckTolerance); len(regs) != 2 {
+		t.Fatalf("want ns/op and allocs/op regressions on %s, got %v", GatedProbes[2], regs)
+	}
+}
+
+func TestCheckAllocGateTolerance(t *testing.T) {
+	base := withAllocs(results(1000, 2000, 3000), 100)
+	cur := withAllocs(results(1000, 2000, 3000), 100-7) // fewer allocations always pass
+	cur[1].AllocsPerOp = 100 + AllocSlack               // averaging jitter
+	if regs := Check(base, cur, CheckTolerance); len(regs) != 0 {
+		t.Fatalf("unexpected regressions: %v", regs)
+	}
+	// A baseline entry without an allocs/op figure gates ns/op only.
+	base[0].AllocsPerOp = 0
+	cur[0].AllocsPerOp = 1 << 20
+	if regs := Check(base, cur, CheckTolerance); len(regs) != 0 {
+		t.Fatalf("unrecorded baseline allocs must not gate: %v", regs)
+	}
+}
+
 func TestGatedProbesExist(t *testing.T) {
 	names := map[string]bool{}
 	for _, p := range benchProbes(0) {

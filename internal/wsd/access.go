@@ -2,12 +2,14 @@
 // expose the component/alternative structure and the support at the
 // boundary-fact level, so consumers outside the package — chiefly the
 // lifted query evaluator of internal/wsdalg — can walk a decomposition
-// without enumerating worlds and without reaching into the interned
-// representation. Attribute-level components answer these queries from
-// their templates; accessors that genuinely enumerate (Support,
-// AltFacts over every index) cost output size, while the template
-// accessors (IsTemplate, TemplateSlots) let slot-aware consumers avoid
-// the product entirely.
+// without enumerating worlds. The ID-space accessors (AltTuples,
+// AltSize, TemplateSlots) hand out the interned storage itself,
+// read-only, so a scan never round-trips through symbol names.
+// Attribute-level components answer these queries from their
+// templates; accessors that genuinely enumerate (Support, AltFacts
+// over every index) cost output size, while the template accessors
+// (IsTemplate, TemplateSlots) let slot-aware consumers avoid the
+// product entirely.
 package wsd
 
 import (
@@ -124,6 +126,52 @@ func (w *WSD) AltFacts(ci, ai int) []Fact {
 		out[k] = w.resolve(id)
 	}
 	return out
+}
+
+// AltTuples returns the facts of relation relIdx (a schema position)
+// in alternative ai of tuple-level component ci, as the
+// decomposition's own interned tuples in AltFacts order. It resolves
+// nothing, re-interns nothing and takes no interner lock: this is the
+// ID-space scan the lifted evaluator reads base relations through. The
+// tuples are owned by the WSD and read-only, on the same contract as
+// TemplateSlots (stored tuples are cloned on intern and never mutated in
+// place); only the returned slice is fresh. An alternative without
+// facts of the relation returns nil. Attribute-level components have no
+// stored tuples — read them through TemplateSlots.
+func (w *WSD) AltTuples(ci, ai, relIdx int) []sym.Tuple {
+	w.ensure()
+	c := &w.comps[ci]
+	if c.attr != nil {
+		panic("wsd: AltTuples on an attribute-level component")
+	}
+	alt := c.alts[ai]
+	n := 0
+	for _, id := range alt {
+		if int(w.facts[id].rel) == relIdx {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]sym.Tuple, 0, n)
+	for _, id := range alt {
+		if f := &w.facts[id]; int(f.rel) == relIdx {
+			out = append(out, f.tuple)
+		}
+	}
+	return out
+}
+
+// AltSize returns the number of facts in alternative ai of component
+// ci — len(AltFacts(ci, ai)) without resolving them (1 for an
+// attribute-level component).
+func (w *WSD) AltSize(ci, ai int) int {
+	w.ensure()
+	if w.comps[ci].attr != nil {
+		return 1
+	}
+	return len(w.comps[ci].alts[ai])
 }
 
 // IsTemplate reports whether component ci is attribute-level: one fact

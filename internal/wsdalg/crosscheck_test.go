@@ -27,27 +27,10 @@ import (
 // and answer-set procedure of the lifted evaluator checked against the
 // per-world oracle.
 func TestDifferentialWSDAlg(t *testing.T) {
-	schema := table.Schema{{Name: "R", Arity: 2}}
 	difftest.Run(t, difftest.Config{
 		Tag:   "wsdalg",
 		Cases: 150,
-		Gen: func(seed int64) (*difftest.Case, bool) {
-			consts := 4 + int(seed)%3
-			w, err := gen.RandomWSD(seed, 3+int(seed)%2, 3, 2, consts)
-			if err != nil {
-				return nil, false
-			}
-			if !w.Count().IsInt64() || w.Count().Int64() > 400 {
-				return nil, false
-			}
-			q := gen.RandomPositiveQuery(seed, schema, consts, 2+int(seed)%2)
-			return &difftest.Case{
-				Tag:    fmt.Sprintf("wsdalg seed %d (%s)", seed, q.Label()),
-				Worlds: w.Expand(0),
-				WSD:    w,
-				Query:  q,
-			}, true
-		},
+		Gen:   wsdalgCase,
 		Backends: []difftest.Backend{
 			difftest.WSDBackend("wsdalg"),
 			// The same cases through the query server's HTTP path: the
@@ -71,51 +54,80 @@ func TestDifferentialWSDAlg(t *testing.T) {
 // behavior has its own tests; this suite is about agreement where the
 // fragment is decidable.
 func TestDifferentialWSAlgebra(t *testing.T) {
-	schema := table.Schema{{Name: "R", Arity: 2}}
 	difftest.Run(t, difftest.Config{
 		Tag:     "wsdalg-wsa",
 		Cases:   150,
-		MaxSeed: 20000,
-		Gen: func(seed int64) (*difftest.Case, bool) {
-			consts := 3 + int(seed)%3
-			w, err := gen.RandomWSD(seed, 3+int(seed)%2, 3, 2, consts)
-			if err != nil {
-				return nil, false
-			}
-			if !w.Count().IsInt64() || w.Count().Int64() > 120 {
-				return nil, false
-			}
-			q := gen.RandomWSAQuery(seed, schema, consts, 2+int(seed)%2)
-			if !query.HasExtendedOps(q) {
-				return nil, false // plain positive roll: TestDifferentialWSDAlg's ground
-			}
-			if _, err := wsdalg.Eval(w, q); err != nil {
-				return nil, false
-			}
-			ws := w.Expand(0)
-			if ans, err := query.EvalOnWorldSet(q, ws); err != nil || len(ans) > 1500 {
-				return nil, false
-			}
-			wf, err := wsd.FromWorlds(ws)
-			if err != nil {
-				return nil, false
-			}
-			if _, err := wsdalg.Eval(wf, q); err != nil {
-				return nil, false // the refactorized provenance entangles differently
-			}
-			return &difftest.Case{
-				Tag:    fmt.Sprintf("wsdalg-wsa seed %d (%s)", seed, q.Label()),
-				Worlds: ws,
-				WSD:    w,
-				Query:  q,
-			}, true
-		},
+		MaxSeed: wsaMaxSeed,
+		Gen:     wsaCase,
 		Backends: []difftest.Backend{
 			difftest.WSDBackend("wsdalg"),
 			difftest.FromWorldsBackend(),
 			difftest.PlannedWSDBackend(),
 		},
 	})
+}
+
+// wsdalgCase generates TestDifferentialWSDAlg's cases: a random
+// mixed-granularity decomposition of at most 400 worlds under a random
+// positive query.
+func wsdalgCase(seed int64) (*difftest.Case, bool) {
+	consts := 4 + int(seed)%3
+	w, err := gen.RandomWSD(seed, 3+int(seed)%2, 3, 2, consts)
+	if err != nil {
+		return nil, false
+	}
+	if !w.Count().IsInt64() || w.Count().Int64() > 400 {
+		return nil, false
+	}
+	q := gen.RandomPositiveQuery(seed, table.Schema{{Name: "R", Arity: 2}}, consts, 2+int(seed)%2)
+	return &difftest.Case{
+		Tag:    fmt.Sprintf("wsdalg seed %d (%s)", seed, q.Label()),
+		Worlds: w.Expand(0),
+		WSD:    w,
+		Query:  q,
+	}, true
+}
+
+// wsaMaxSeed is TestDifferentialWSAlgebra's generation budget.
+const wsaMaxSeed = 20000
+
+// wsaCase generates TestDifferentialWSAlgebra's cases: a random
+// decomposition of at most 120 worlds under a random query that uses
+// at least one extended operator, pre-screened to evaluate on both
+// provenances with a bounded oracle.
+func wsaCase(seed int64) (*difftest.Case, bool) {
+	consts := 3 + int(seed)%3
+	w, err := gen.RandomWSD(seed, 3+int(seed)%2, 3, 2, consts)
+	if err != nil {
+		return nil, false
+	}
+	if !w.Count().IsInt64() || w.Count().Int64() > 120 {
+		return nil, false
+	}
+	q := gen.RandomWSAQuery(seed, table.Schema{{Name: "R", Arity: 2}}, consts, 2+int(seed)%2)
+	if !query.HasExtendedOps(q) {
+		return nil, false // plain positive roll: TestDifferentialWSDAlg's ground
+	}
+	if _, err := wsdalg.Eval(w, q); err != nil {
+		return nil, false
+	}
+	ws := w.Expand(0)
+	if ans, err := query.EvalOnWorldSet(q, ws); err != nil || len(ans) > 1500 {
+		return nil, false
+	}
+	wf, err := wsd.FromWorlds(ws)
+	if err != nil {
+		return nil, false
+	}
+	if _, err := wsdalg.Eval(wf, q); err != nil {
+		return nil, false // the refactorized provenance entangles differently
+	}
+	return &difftest.Case{
+		Tag:    fmt.Sprintf("wsdalg-wsa seed %d (%s)", seed, q.Label()),
+		Worlds: ws,
+		WSD:    w,
+		Query:  q,
+	}, true
 }
 
 // TestPlannerNeverExceedsNaive is the planner property test: across

@@ -99,10 +99,16 @@ type Plan struct {
 // kinds max). The plan is returned even on error, annotated with the
 // error class and truncated at the failing node.
 func EvalPlanned(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
+	return evalPlanned(w, q, c, nil)
+}
+
+// evalPlanned is EvalPlanned evaluating on a fork of base when base is
+// non-nil (see evalCore).
+func evalPlanned(w *wsd.WSD, q query.Query, c *obs.Cost, base *evaluator) (*wsd.WSD, *Plan, error) {
 	ci := obs.NewCost()
 	p := &Plan{Query: q.Label()}
 	start := time.Now()
-	out, err := evalCore(w, q, ci, p)
+	out, err := evalCore(w, q, ci, p, base)
 	p.DurUS = time.Since(start).Microseconds()
 	p.Cost = ci.Counters()
 	if err != nil {
@@ -267,7 +273,7 @@ func (ev *evaluator) scanEst(name string) PlanStats {
 			continue
 		}
 		for ai := 0; ai < ev.w.AltCount(ci); ai++ {
-			s.Rows = satAdd(s.Rows, int64(len(ev.w.AltFacts(ci, ai))))
+			s.Rows = satAdd(s.Rows, int64(ev.w.AltSize(ci, ai)))
 		}
 	}
 	return s
@@ -291,7 +297,7 @@ func (ev *evaluator) joinEst(l, r *dRel) PlanStats {
 	s.Units = int64(len(units))
 	for li := range l.parts {
 		for ri := range r.parts {
-			origins := mergeOrigins(append([]int(nil), l.parts[li].origins...), r.parts[ri].origins)
+			origins := unionOrigins(l.parts[li].origins, r.parts[ri].origins)
 			prod := ev.originsProduct(origins)
 			s.MergeSpace = satAdd(s.MergeSpace, prod)
 			if prod > s.MaxSpace {
@@ -396,7 +402,7 @@ func (ev *evaluator) diffEst(l, r *dRel) PlanStats {
 	var units []int
 	for li := range l.parts {
 		lp := &l.parts[li]
-		origins := mergeOrigins(append([]int(nil), lp.origins...), rOrigins)
+		origins := unionOrigins(lp.origins, rOrigins)
 		units = mergeOrigins(units, origins)
 		prod := ev.originsProduct(origins)
 		s.MergeSpace = satAdd(s.MergeSpace, prod)

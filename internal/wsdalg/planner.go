@@ -64,11 +64,27 @@ func (pi *PlannerInfo) Changed() bool { return pi != nil && pi.Chosen != pi.Naiv
 // cost model cannot price it) plus the decision record. The returned
 // query is always equivalent to q on every world set.
 func Optimize(w *wsd.WSD, q query.Query) (query.Query, *PlannerInfo) {
-	a, ok := q.(query.Algebra)
-	if !ok || w.Empty() {
+	return optimize(plannerBase(w, q), q)
+}
+
+// plannerBase returns the evaluator planning q against w runs on, or
+// nil when there is nothing to plan (q is not algebra, or rep(w) = ∅).
+func plannerBase(w *wsd.WSD, q query.Query) *evaluator {
+	if _, ok := q.(query.Algebra); !ok || w.Empty() {
+		return nil
+	}
+	return newEvaluator(w)
+}
+
+// optimize is Optimize over a base evaluator (nil: nothing to plan).
+// Every costing pass runs on a fork of base, so each base relation is
+// scanned once however many candidate forms are priced.
+func optimize(base *evaluator, q query.Query) (query.Query, *PlannerInfo) {
+	if base == nil {
 		return q, nil
 	}
-	naiveCost, err := staticCost(w, a)
+	a := q.(query.Algebra)
+	naiveCost, err := staticCost(base, a)
 	if err != nil {
 		return q, nil // un-priceable: schema errors surface at eval time
 	}
@@ -79,12 +95,18 @@ func Optimize(w *wsd.WSD, q query.Query) (query.Query, *PlannerInfo) {
 		if cols, serr := o.Expr.Schema(); serr == nil {
 			e = pruneExpr(e, cols)
 		}
-		e = reorderJoins(w, e)
+		e = reorderJoins(base, e)
 		outs[i] = query.Out{Name: o.Name, Expr: e}
 	}
 	opt := query.Algebra{Name: a.Name, Outs: outs}
 	info := &PlannerInfo{Naive: formatOuts(a.Outs), NaiveCost: naiveCost}
-	chosenCost, err := staticCost(w, opt)
+	if chosen := formatOuts(outs); chosen == info.Naive {
+		// The rewrites left the written form as it was: it is already
+		// priced.
+		info.Chosen, info.ChosenCost = chosen, naiveCost
+		return opt, info
+	}
+	chosenCost, err := staticCost(base, opt)
 	if err != nil || chosenCost > naiveCost {
 		// Never adopt a rewrite the model prices higher than what was
 		// written (or cannot price at all).
@@ -98,10 +120,12 @@ func Optimize(w *wsd.WSD, q query.Query) (query.Query, *PlannerInfo) {
 // EvalOptimized is EvalPlanned through the planner: the chosen form is
 // evaluated (plan and all) and the plan carries the planning record.
 // Equivalence of the rewrites means the result is identical to
-// EvalPlanned(w, q, c) world-for-world.
+// EvalPlanned(w, q, c) world-for-world. Planning and evaluation share
+// one base evaluator, so each base relation is scanned once.
 func EvalOptimized(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
-	opt, info := Optimize(w, q)
-	out, pl, err := EvalPlanned(w, opt, c)
+	base := plannerBase(w, q)
+	opt, info := optimize(base, q)
+	out, pl, err := evalPlanned(w, opt, c, base)
 	if pl != nil {
 		pl.Planner = info
 		pl.Query = q.Label() // report the query as asked, not as rewritten
@@ -518,30 +542,30 @@ func sameCols(a, b []string) bool {
 // its cheapest left-deep order under the dry cost model, wrapping a π
 // to restore the written column order. The written order competes, so
 // the result is never predicted costlier.
-func reorderJoins(w *wsd.WSD, e algebra.Expr) algebra.Expr {
+func reorderJoins(base *evaluator, e algebra.Expr) algebra.Expr {
 	switch n := e.(type) {
 	case algebra.Join:
 		leaves := flattenJoin(e)
 		for i := range leaves {
-			leaves[i] = reorderJoins(w, leaves[i])
+			leaves[i] = reorderJoins(base, leaves[i])
 		}
-		return bestJoinOrder(w, e, leaves)
+		return bestJoinOrder(base, e, leaves)
 	case algebra.Project:
-		return algebra.Project{E: reorderJoins(w, n.E), Cols: n.Cols}
+		return algebra.Project{E: reorderJoins(base, n.E), Cols: n.Cols}
 	case algebra.Select:
-		return algebra.Select{E: reorderJoins(w, n.E), Preds: n.Preds}
+		return algebra.Select{E: reorderJoins(base, n.E), Preds: n.Preds}
 	case algebra.Rename:
-		return algebra.Rename{E: reorderJoins(w, n.E), From: n.From, To: n.To}
+		return algebra.Rename{E: reorderJoins(base, n.E), From: n.From, To: n.To}
 	case algebra.Union:
-		return algebra.Union{L: reorderJoins(w, n.L), R: reorderJoins(w, n.R)}
+		return algebra.Union{L: reorderJoins(base, n.L), R: reorderJoins(base, n.R)}
 	case algebra.Diff:
-		return algebra.Diff{L: reorderJoins(w, n.L), R: reorderJoins(w, n.R)}
+		return algebra.Diff{L: reorderJoins(base, n.L), R: reorderJoins(base, n.R)}
 	case algebra.Possible:
-		return algebra.Possible{E: reorderJoins(w, n.E)}
+		return algebra.Possible{E: reorderJoins(base, n.E)}
 	case algebra.Certain:
-		return algebra.Certain{E: reorderJoins(w, n.E)}
+		return algebra.Certain{E: reorderJoins(base, n.E)}
 	case algebra.ChoiceOf:
-		return algebra.ChoiceOf{E: reorderJoins(w, n.E)}
+		return algebra.ChoiceOf{E: reorderJoins(base, n.E)}
 	}
 	return e
 }
@@ -568,7 +592,7 @@ func rebuildJoin(leaves []algebra.Expr, order []int) algebra.Expr {
 // all permutations up to 5 leaves, greedy-cheapest beyond — against the
 // written order and returns the winner (strictly cheaper only), with a
 // π restoring the written column order.
-func bestJoinOrder(w *wsd.WSD, orig algebra.Expr, leaves []algebra.Expr) algebra.Expr {
+func bestJoinOrder(base *evaluator, orig algebra.Expr, leaves []algebra.Expr) algebra.Expr {
 	written := make([]int, len(leaves))
 	for i := range written {
 		written[i] = i
@@ -580,7 +604,7 @@ func bestJoinOrder(w *wsd.WSD, orig algebra.Expr, leaves []algebra.Expr) algebra
 	if err != nil {
 		return rebuildJoin(leaves, written)
 	}
-	ev := newEvaluator(w)
+	ev := base.fork()
 	dry := make([]dryRel, len(leaves))
 	var prep int64
 	for i, l := range leaves {
@@ -696,10 +720,11 @@ type dryRel struct {
 	parts []dryPart
 }
 
-// staticCost prices a whole query: per-operator tabulation products
-// plus the final assembly's, exactly the Est figures of plan.go.
-func staticCost(w *wsd.WSD, a query.Algebra) (int64, error) {
-	ev := newEvaluator(w)
+// staticCost prices a whole query on a fork of base: per-operator
+// tabulation products plus the final assembly's, exactly the Est
+// figures of plan.go.
+func staticCost(base *evaluator, a query.Algebra) (int64, error) {
+	ev := base.fork()
 	var cost int64
 	var all []dryPart
 	for _, o := range a.Outs {
@@ -740,8 +765,8 @@ func dryAssembleCost(ev *evaluator, parts []dryPart) int64 {
 
 // dryEval propagates parts through e without tabulating anything,
 // accumulating into cost the joint-space products evaluation would
-// sweep. Synthetic choiceof axes are allocated on ev (a costing
-// evaluator is private to its planning pass).
+// sweep. Synthetic choiceof axes are allocated on ev (each costing
+// pass runs on its own fork of the planning base).
 func (ev *evaluator) dryEval(e algebra.Expr, cost *int64) (dryRel, error) {
 	switch n := e.(type) {
 	case algebra.ConstRel:
@@ -893,7 +918,7 @@ func (ev *evaluator) dryEval(e algebra.Expr, cost *int64) (dryRel, error) {
 		}
 		out := dryRel{cols: l.cols}
 		for _, lp := range l.parts {
-			origins := mergeOrigins(append([]int(nil), lp.origins...), rOrigins)
+			origins := unionOrigins(lp.origins, rOrigins)
 			*cost = satAdd(*cost, ev.originsProduct(origins))
 			var extra []int
 			for _, o := range rOrigins {
@@ -972,7 +997,7 @@ func (ev *evaluator) dryJoin(l, r dryRel, cost *int64) dryRel {
 	out := dryRel{cols: cols}
 	for i := range l.parts {
 		for j := range r.parts {
-			origins := mergeOrigins(append([]int(nil), l.parts[i].origins...), r.parts[j].origins)
+			origins := unionOrigins(l.parts[i].origins, r.parts[j].origins)
 			rows := satMul(l.parts[i].rows, r.parts[j].rows)
 			*cost = satAdd(*cost, satAdd(ev.originsProduct(origins), rows))
 			out.parts = append(out.parts, dryPart{origins: origins, rows: rows})

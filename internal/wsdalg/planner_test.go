@@ -153,6 +153,7 @@ func TestOptimizeNeverCostlier(t *testing.T) {
 		algebra.ChoiceOf{E: algebra.Possible{E: scanR()}},
 		algebra.Certain{E: algebra.Possible{E: selHi(scanR())}},
 	}
+	unchanged := 0
 	for i, e := range exprs {
 		q := query.NewAlgebra("q", query.Out{Name: "A", Expr: e})
 		opt, info := Optimize(w, q)
@@ -162,9 +163,18 @@ func TestOptimizeNeverCostlier(t *testing.T) {
 		if info.ChosenCost > info.NaiveCost {
 			t.Fatalf("case %d (%s): chosen %d > naive %d", i, e, info.ChosenCost, info.NaiveCost)
 		}
+		if !info.Changed() {
+			// An unchanged form is priced once; pricing it again agrees.
+			if c, err := staticCost(newEvaluator(w), opt.(query.Algebra)); err != nil || c != info.ChosenCost {
+				t.Fatalf("case %d (%s): unchanged form reprices to %d (%v), record says %d", i, e, c, err, info.ChosenCost)
+			}
+			unchanged++
+		}
 		// Whatever was chosen must mean the same thing.
 		checkOptimized(t, w, q)
-		_ = opt
+	}
+	if unchanged == 0 {
+		t.Fatal("no case left the written form unchanged")
 	}
 }
 
@@ -189,7 +199,7 @@ func TestJoinReorderKeepsColumnOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := reorderJoins(w, e)
+	got := reorderJoins(newEvaluator(w), e)
 	cols, err := got.Schema()
 	if err != nil {
 		t.Fatalf("reordered schema: %v", err)
@@ -216,11 +226,11 @@ func TestDryCostMatchesEstimateScale(t *testing.T) {
 			algebra.EqP(algebra.Col("v"), algebra.Lit("hi")))})
 	pushed := query.NewAlgebra("q", query.Out{Name: "A",
 		Expr: algebra.Join{L: selHi(scanR()), R: scanD()}})
-	cn, err := staticCost(w, naive)
+	cn, err := staticCost(newEvaluator(w), naive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := staticCost(w, pushed)
+	cp, err := staticCost(newEvaluator(w), pushed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,13 +137,15 @@ func Eval(w *wsd.WSD, q query.Query) (*wsd.WSD, error) {
 // needed (the MaxMergeAlts headroom) into c. A nil c makes this exactly
 // Eval.
 func EvalObserved(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, error) {
-	return evalCore(w, q, c, nil)
+	return evalCore(w, q, c, nil, nil)
 }
 
 // evalCore is the shared body of EvalObserved and EvalPlanned: the
 // evaluation proper, with an optional plan to fill (nil plan = no plan
-// bookkeeping at all on the hot path).
-func evalCore(w *wsd.WSD, q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, error) {
+// bookkeeping at all on the hot path). A non-nil base is the request's
+// planning evaluator over w: the evaluation runs on a fork of it and
+// reuses the scans planning already built.
+func evalCore(w *wsd.WSD, q query.Query, c *obs.Cost, pl *Plan, base *evaluator) (*wsd.WSD, error) {
 	if err := Supported(q); err != nil {
 		return nil, err
 	}
@@ -181,7 +183,12 @@ func evalCore(w *wsd.WSD, q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, error
 		return out, out.Normalize()
 	}
 
-	ev := newEvaluator(w)
+	var ev *evaluator
+	if base != nil {
+		ev = base.fork()
+	} else {
+		ev = newEvaluator(w)
+	}
 	ev.cost = c
 	ev.plan = pl
 	var parts []taggedPart
@@ -408,16 +415,6 @@ func (ev *evaluator) emitTemplate(out *wsd.WSD, relName string, p *part) (bool, 
 	return true, out.AddTemplateComponent(relName, cells...)
 }
 
-// unit is one independent choice axis of the input decomposition: a
-// whole tuple-level component (slot == -1) or one open slot (two or
-// more values) of an attribute-level template. Distinct slots of one
-// template are independent by construction, so treating them as
-// separate axes is exact.
-type unit struct {
-	comp int
-	slot int
-}
-
 // part is one factor of a decomposed relation: a deterministic function
 // from the alternative choices of its origin units to a row set. It has
 // two bodies:
@@ -524,38 +521,65 @@ type dRel struct {
 // flattened into choice units, per-unit alternative counts and slot
 // values, and a per-relation scan cache (the same base relation scanned
 // twice shares its parts; parts are never mutated after construction).
+//
+// A unit is one independent choice axis of the input: a whole
+// tuple-level component, or one open slot (two or more values) of an
+// attribute-level template. Distinct slots of one template are
+// independent by construction, so treating them as separate axes is
+// exact. Units past the input's are synthetic (choiceof's picks).
 type evaluator struct {
 	w         *wsd.WSD
 	n         int
-	units     []unit
 	altCounts []int
 	cells     [][]sym.ID // per unit: open-slot values (nil for tuple-level units)
-	scans     map[string][]part
-	cost      *obs.Cost // per-request sink (nil when untraced)
-	plan      *Plan     // plan under construction (nil when not explaining)
-	cur       *PlanNode // node receiving space() actuals right now
+	// compAt[ci] indexes unitAt for component ci: unitAt[compAt[ci]] is
+	// a tuple-level component's unit, unitAt[compAt[ci]+si] a template
+	// slot's (-1 for a fixed slot).
+	compAt []int32
+	unitAt []int32
+	scans  map[string][]part
+	cost   *obs.Cost // per-request sink (nil when untraced)
+	plan   *Plan     // plan under construction (nil when not explaining)
+	cur    *PlanNode // node receiving space() actuals right now
 }
 
 func newEvaluator(w *wsd.WSD) *evaluator {
-	ev := &evaluator{w: w, scans: map[string][]part{}}
-	for ci := 0; ci < w.Components(); ci++ {
+	nc := w.Components()
+	ev := &evaluator{w: w, scans: map[string][]part{}, compAt: make([]int32, nc),
+		altCounts: make([]int, 0, nc), cells: make([][]sym.ID, 0, nc), unitAt: make([]int32, 0, nc)}
+	for ci := 0; ci < nc; ci++ {
+		ev.compAt[ci] = int32(len(ev.unitAt))
 		if _, cells, ok := w.TemplateSlots(ci); ok {
-			for si, cell := range cells {
+			for _, cell := range cells {
 				if len(cell) < 2 {
-					continue // fixed slot: a constant, not a choice axis
+					ev.unitAt = append(ev.unitAt, -1) // fixed slot: a constant, not a choice axis
+					continue
 				}
-				ev.units = append(ev.units, unit{comp: ci, slot: si})
+				ev.unitAt = append(ev.unitAt, int32(len(ev.altCounts)))
 				ev.altCounts = append(ev.altCounts, len(cell))
 				ev.cells = append(ev.cells, cell)
 			}
 			continue
 		}
-		ev.units = append(ev.units, unit{comp: ci, slot: -1})
+		ev.unitAt = append(ev.unitAt, int32(len(ev.altCounts)))
 		ev.altCounts = append(ev.altCounts, w.AltCount(ci))
 		ev.cells = append(ev.cells, nil)
 	}
-	ev.n = len(ev.units)
+	ev.n = len(ev.altCounts)
 	return ev
+}
+
+// fork returns an evaluator for one pass over the same input — a
+// planner costing run or the evaluation itself — that shares ev's input
+// units and scan cache (so each base relation is scanned once per
+// request) but owns its synthetic units and plan state. Fork only an
+// evaluator that has run no pass itself: the shared unit slices are
+// capped at its units, so a fork's addUnit reallocates instead of
+// writing into its siblings' view.
+func (ev *evaluator) fork() *evaluator {
+	n := ev.n
+	return &evaluator{w: ev.w, n: n, altCounts: ev.altCounts[:n:n], cells: ev.cells[:n:n],
+		compAt: ev.compAt, unitAt: ev.unitAt, scans: ev.scans}
 }
 
 // space returns the joint alternative count of a set of origins,
@@ -612,10 +636,13 @@ func (ev *evaluator) odometer(origins []int, choice []int, fn func()) {
 // tabulated part per tuple-level component whose support mentions the
 // relation, and one symbolic template part per attribute-level
 // component over it — the template's field product is never expanded.
+// Tabulated parts hold the decomposition's own interned tuples
+// (wsd.AltTuples), read-only like every part's rows.
 func (ev *evaluator) scanParts(name string) []part {
 	if ps, ok := ev.scans[name]; ok {
 		return ps
 	}
+	ri := relIndex(ev.w, name)
 	var ps []part
 	for ci := 0; ci < ev.w.Components(); ci++ {
 		if rel, cells, ok := ev.w.TemplateSlots(ci); ok {
@@ -634,17 +661,16 @@ func (ev *evaluator) scanParts(name string) []part {
 			continue
 		}
 		u := ev.unitOf(ci, -1)
-		alts := make([][]sym.Tuple, ev.altCounts[u])
-		any := false
-		for ai := range alts {
-			for _, f := range ev.w.AltFacts(ci, ai) {
-				if f.Rel == name {
-					alts[ai] = append(alts[ai], f.Args.Intern())
-					any = true
+		var alts [][]sym.Tuple // allocated on the first alternative mentioning the relation
+		for ai := 0; ai < ev.altCounts[u]; ai++ {
+			if ts := ev.w.AltTuples(ci, ai, ri); ts != nil {
+				if alts == nil {
+					alts = make([][]sym.Tuple, ev.altCounts[u])
 				}
+				alts[ai] = ts
 			}
 		}
-		if any {
+		if alts != nil {
 			ps = append(ps, part{origins: []int{u}, alts: alts})
 		}
 	}
@@ -652,15 +678,25 @@ func (ev *evaluator) scanParts(name string) []part {
 	return ps
 }
 
-// unitOf resolves a (component, slot) pair to its unit index. Panics on
-// a pair that is not a choice axis (programming error).
+// unitOf resolves a (component, slot) pair to its unit index; slot is
+// -1 for a tuple-level component. Panics on a pair that is not a choice
+// axis (programming error).
 func (ev *evaluator) unitOf(ci, slot int) int {
-	for u, un := range ev.units {
-		if un.comp == ci && un.slot == slot {
-			return u
+	u := ev.unitAt[int(ev.compAt[ci])+max(slot, 0)]
+	if u < 0 {
+		panic("wsdalg: no unit for component slot")
+	}
+	return int(u)
+}
+
+// relIndex returns the schema position of relation name in w, or -1.
+func relIndex(w *wsd.WSD, name string) int {
+	for i, s := range w.Schema() {
+		if s.Name == name {
+			return i
 		}
 	}
-	panic("wsdalg: no unit for component slot")
+	return -1
 }
 
 // addUnit appends a synthetic choice unit — a fresh independent axis
@@ -669,10 +705,9 @@ func (ev *evaluator) unitOf(ci, slot int) int {
 // assembly's union-find is built after all units exist.
 func (ev *evaluator) addUnit(altCount int) int {
 	u := ev.n
-	ev.units = append(ev.units, unit{comp: -1, slot: -1})
 	ev.altCounts = append(ev.altCounts, altCount)
 	ev.cells = append(ev.cells, nil)
-	ev.n = len(ev.units)
+	ev.n = len(ev.altCounts)
 	return u
 }
 
@@ -737,13 +772,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 		if err != nil {
 			return dRel{}, err
 		}
-		ri := -1
-		for i, s := range ev.w.Schema() {
-			if s.Name == n.Name {
-				ri = i
-				break
-			}
-		}
+		ri := relIndex(ev.w, n.Name)
 		if ri < 0 {
 			return dRel{}, fmt.Errorf("wsdalg: relation %s not in decomposition", n.Name)
 		}
@@ -1086,7 +1115,7 @@ func (ev *evaluator) diffRels(l, r *dRel) (dRel, error) {
 	choice := make([]int, ev.n)
 	for li := range l.parts {
 		lp := &l.parts[li]
-		origins := mergeOrigins(append([]int(nil), lp.origins...), rOrigins)
+		origins := unionOrigins(lp.origins, rOrigins)
 		space, err := ev.space(origins)
 		if err != nil {
 			return dRel{}, err
@@ -1146,7 +1175,7 @@ func (ev *evaluator) joinRels(l, r dRel, cols []string) (dRel, error) {
 	for li := range l.parts {
 		for ri := range r.parts {
 			lp, rp := &l.parts[li], &r.parts[ri]
-			origins := mergeOrigins(append([]int(nil), lp.origins...), rp.origins)
+			origins := unionOrigins(lp.origins, rp.origins)
 			space, err := ev.space(origins)
 			if err != nil {
 				return dRel{}, err
@@ -1316,6 +1345,12 @@ func tupleLess(a, b sym.Tuple) bool {
 		}
 	}
 	return false
+}
+
+// unionOrigins returns the union of two sorted origin lists as a fresh
+// slice, sized once (neither input is modified).
+func unionOrigins(a, b []int) []int {
+	return mergeOrigins(append(make([]int, 0, len(a)+len(b)), a...), b)
 }
 
 // mergeOrigins unions a sorted origin list into dst (kept sorted and
