@@ -375,6 +375,35 @@ func SortedConsts(e Expr) []string {
 	return out
 }
 
+// MapChildren rebuilds e with f applied to each of its direct children,
+// left before right, keeping e's own arguments (columns, predicates,
+// renamings). Scans and constant relations have no children and are
+// returned as they are. It is the shared recursion of bottom-up
+// rewrites.
+func MapChildren(e Expr, f func(Expr) Expr) Expr {
+	switch n := e.(type) {
+	case Project:
+		return Project{E: f(n.E), Cols: n.Cols}
+	case Select:
+		return Select{E: f(n.E), Preds: n.Preds}
+	case Rename:
+		return Rename{E: f(n.E), From: n.From, To: n.To}
+	case Join:
+		return Join{L: f(n.L), R: f(n.R)}
+	case Union:
+		return Union{L: f(n.L), R: f(n.R)}
+	case Diff:
+		return Diff{L: f(n.L), R: f(n.R)}
+	case Possible:
+		return Possible{E: f(n.E)}
+	case Certain:
+		return Certain{E: f(n.E)}
+	case ChoiceOf:
+		return ChoiceOf{E: f(n.E)}
+	}
+	return e
+}
+
 // ensure interface satisfaction (compile-time checks).
 var (
 	_ Expr = Rel{}

@@ -156,6 +156,52 @@ func TestDuplicateColumnRejected(t *testing.T) {
 	}
 }
 
+// TestMapChildren pins the rewrite helper on every expression kind: the
+// identity function rebuilds an equal expression, and f sees exactly
+// the direct children, left before right.
+func TestMapChildren(t *testing.T) {
+	r, s := Scan("R", "a", "b"), Scan("S", "a", "b")
+	cases := []struct {
+		e        Expr
+		children []Expr
+	}{
+		{Values("a", "1", "2"), nil},
+		{r, nil},
+		{Project{E: r, Cols: []string{"b"}}, []Expr{r}},
+		{Where(r, EqP(Col("a"), Lit("1")), NeqP(Col("b"), Col("a"))), []Expr{r}},
+		{Rename{E: r, From: []string{"a"}, To: []string{"c"}}, []Expr{r}},
+		{Join{L: r, R: s}, []Expr{r, s}},
+		{Union{L: r, R: s}, []Expr{r, s}},
+		{Diff{L: r, R: s}, []Expr{r, s}},
+		{Possible{E: r}, []Expr{r}},
+		{Certain{E: s}, []Expr{s}},
+		{ChoiceOf{E: r}, []Expr{r}},
+	}
+	for _, c := range cases {
+		var seen []Expr
+		got := MapChildren(c.e, func(x Expr) Expr {
+			seen = append(seen, x)
+			return x
+		})
+		if got.String() != c.e.String() {
+			t.Errorf("identity map of %s = %s", c.e, got)
+		}
+		if len(seen) != len(c.children) {
+			t.Fatalf("%s: f called on %v, want %v", c.e, seen, c.children)
+		}
+		for i := range seen {
+			if seen[i].String() != c.children[i].String() {
+				t.Errorf("%s: child %d = %s, want %s", c.e, i, seen[i], c.children[i])
+			}
+		}
+	}
+	// The rebuilt node carries f's results, not the old children.
+	got := MapChildren(Join{L: r, R: s}, func(Expr) Expr { return Scan("T", "x") })
+	if want := "(T(x) ⋈ T(x))"; got.String() != want {
+		t.Errorf("mapped join = %s, want %s", got, want)
+	}
+}
+
 // --- Lifted evaluation ---
 
 func liftedWorlds(t *testing.T, e Expr, d *table.Database) map[string]bool {

@@ -29,7 +29,7 @@ func PossibleAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
 // PossibleAnswersObserved is PossibleAnswers with a cost-accounting
 // sink threaded into the evaluation (nil c: exactly PossibleAnswers).
 func PossibleAnswersObserved(w *wsd.WSD, q query.Query, c *obs.Cost) (*rel.Instance, error) {
-	out, err := EvalObserved(w, q, c)
+	out, err := evalCore(w, q, c, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +63,7 @@ func CertainAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
 // CertainAnswersObserved is CertainAnswers with a cost-accounting sink
 // threaded into the evaluation (nil c: exactly CertainAnswers).
 func CertainAnswersObserved(w *wsd.WSD, q query.Query, c *obs.Cost) (*rel.Instance, error) {
-	out, err := EvalObserved(w, q, c)
+	out, err := evalCore(w, q, c, nil, nil)
 	if err != nil {
 		return nil, err
 	}

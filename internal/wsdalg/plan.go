@@ -1,24 +1,30 @@
-// Plan introspection: EvalPlanned is EvalObserved plus an
-// EXPLAIN/ANALYZE tree. Each operator node of the query expression gets
-// a PlanNode carrying *estimates* computed from the node's inputs
-// before its own work runs (parts, distinct choice units, tabulated-row
-// upper bounds, and — for ⋈ and the final assembly — the joint
-// alternative space predicted from origin-space products) and *actuals*
-// filled during evaluation (parts emitted, rows tabulated, joint
-// alternatives actually swept, wall time). The estimates are sound
-// upper bounds by construction: a join's predicted merge space is the
-// exact sum of per-part-pair origin products, and evaluation either
-// sweeps exactly that space or stops early (ErrEntangled), so
-// Est.MergeSpace ≥ Act.MergeSpace always — the property the planner the
-// ROADMAP calls for needs before it can rank plans, and the property
-// TestPlanEstimateSoundness pins across the difftest corpus.
+// Plan introspection: EvalPlanned is Eval plus an EXPLAIN/ANALYZE tree.
+// Each operator node of the query expression gets a PlanNode carrying
+// *estimates* computed from the node's inputs before its own work runs
+// (parts, distinct choice units, tabulated-row upper bounds, and — for
+// the sweeping operators and the final assembly — the joint alternative
+// space predicted from origin-space products) and *actuals* filled
+// during evaluation (parts emitted, rows tabulated, joint alternatives
+// actually swept, wall time).
+//
+// Estimates come from the bounds domain below: the walk (wsdalg.go)
+// interprets the algebra in either the concrete domain, which
+// evaluates, or the bounds domain, which carries each part's origins
+// and row bound. A bounds step is the only place an operator's estimate
+// formula lives. EXPLAIN runs it on the bounds of a concrete node's real
+// inputs; the planner's static cost is a whole bounds walk summing the
+// same figures. The estimates are sound upper bounds by construction: a
+// join's predicted merge space is the exact sum of per-part-pair origin
+// products, and evaluation either sweeps exactly that space or stops
+// early (ErrEntangled), so Est.MergeSpace ≥ Act.MergeSpace always — the
+// property TestPlanEstimateSoundness pins across the difftest corpus.
 //
 // Actuals reconcile with the obs.Cost counters of the same run:
 // summing Act.MergeSpace over all plan nodes gives eval_alts_tabulated,
 // the max of Act.MaxSpace gives eval_merge_space_max, summing the out
 // nodes' Act.Parts gives eval_parts, and Plan.Components equals
 // eval_components — the plan is the per-operator decomposition of the
-// totals PR 8 already reports.
+// run's cost totals.
 package wsdalg
 
 import (
@@ -26,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -33,7 +40,6 @@ import (
 	"pw/internal/algebra"
 	"pw/internal/obs"
 	"pw/internal/query"
-	"pw/internal/unionfind"
 	"pw/internal/wsd"
 )
 
@@ -92,7 +98,7 @@ type Plan struct {
 	DurUS      int64            `json:"us"`
 }
 
-// EvalPlanned is EvalObserved plus plan construction. The evaluation
+// EvalPlanned is Eval plus plan construction, with a cost sink c. The evaluation
 // runs against a private cost sink so Plan.Cost reports exactly this
 // run's counters even when c is a shared request-wide sink; the private
 // counters are folded into c afterwards (additive kinds add, high-water
@@ -231,223 +237,299 @@ func (ev *evaluator) originsProduct(origins []int) int64 {
 	return prod
 }
 
-// rowsUB upper-bounds the rows a part can tabulate: the alternatives'
-// total row count for a tabulated body, the origin-space product for a
-// template body (one row per joint choice at most).
-func (ev *evaluator) rowsUB(p *part) int64 {
-	if p.tmpl != nil {
-		return ev.originsProduct(p.origins)
-	}
-	var n int64
-	for _, alt := range p.alts {
-		n = satAdd(n, int64(len(alt)))
-	}
-	return n
-}
-
-// drelStats summarizes a decomposed relation as estimate input: parts,
-// distinct choice units, tabulated-rows upper bound. Tuple-local
-// operators can only shrink all three, so the input's stats are the
-// node's estimate.
-func (ev *evaluator) drelStats(d *dRel) PlanStats {
-	var s PlanStats
-	s.Parts = int64(len(d.parts))
-	var units []int
-	for i := range d.parts {
-		units = mergeOrigins(units, d.parts[i].origins)
-		s.Rows = satAdd(s.Rows, ev.rowsUB(&d.parts[i]))
-	}
-	s.Units = int64(len(units))
-	return s
-}
-
-// scanEst bounds a base-relation scan from the raw decomposition
-// without building parts: at most one part per component, every unit
-// potentially touched, and (for tabulated rows) each alternative's full
-// fact list — template components scan symbolically and tabulate
-// nothing.
-func (ev *evaluator) scanEst(name string) PlanStats {
-	s := PlanStats{Parts: int64(ev.w.Components()), Units: int64(ev.n)}
-	for ci := 0; ci < ev.w.Components(); ci++ {
-		if _, _, ok := ev.w.TemplateSlots(ci); ok {
-			continue
-		}
-		for ai := 0; ai < ev.w.AltCount(ci); ai++ {
-			s.Rows = satAdd(s.Rows, int64(ev.w.AltSize(ci, ai)))
-		}
-	}
-	return s
-}
-
-// joinEst predicts a join before tabulation: every part pair tabulates
-// over its merged origin product, so MergeSpace is the exact sum of
-// those products (the evaluation sweeps exactly this space unless it
-// stops early on ErrEntangled — which only makes the actual smaller),
-// and Rows multiplies the operands' row bounds pairwise.
-func (ev *evaluator) joinEst(l, r *dRel) PlanStats {
-	var s PlanStats
-	s.Parts = satMul(int64(len(l.parts)), int64(len(r.parts)))
-	var units []int
-	for i := range l.parts {
-		units = mergeOrigins(units, l.parts[i].origins)
-	}
-	for i := range r.parts {
-		units = mergeOrigins(units, r.parts[i].origins)
-	}
-	s.Units = int64(len(units))
-	for li := range l.parts {
-		for ri := range r.parts {
-			origins := unionOrigins(l.parts[li].origins, r.parts[ri].origins)
-			prod := ev.originsProduct(origins)
-			s.MergeSpace = satAdd(s.MergeSpace, prod)
-			if prod > s.MaxSpace {
-				s.MaxSpace = prod
-			}
-			s.Rows = satAdd(s.Rows, satMul(ev.rowsUB(&l.parts[li]), ev.rowsUB(&r.parts[ri])))
-		}
-	}
-	return s
-}
-
-// possibleEst predicts possible(e): the support sweep tabulates each
-// template part's origin space (tabulated parts contribute their rows
-// directly, no sweep), and the result is a single certain part bounded
-// by the operand's total row bound.
-func (ev *evaluator) possibleEst(in *dRel) PlanStats {
-	s := PlanStats{Parts: 1}
-	for i := range in.parts {
-		p := &in.parts[i]
-		s.Rows = satAdd(s.Rows, ev.rowsUB(p))
-		if p.tmpl != nil {
-			prod := ev.originsProduct(p.origins)
-			s.MergeSpace = satAdd(s.MergeSpace, prod)
-			if prod > s.MaxSpace {
-				s.MaxSpace = prod
-			}
-		}
-	}
-	return s
-}
-
-// certainEst predicts certain(e) by mirroring the sub-decomposition
-// assembly certainRows runs: parts group by shared origins via the same
-// union-find, and each group sweeps its merged origin product (the
-// template fast path only makes the actual smaller).
-func (ev *evaluator) certainEst(in *dRel) PlanStats {
-	s := PlanStats{Parts: 1}
-	uf := unionfind.NewDense(ev.n)
-	for i := range in.parts {
-		o := in.parts[i].origins
-		for j := 1; j < len(o); j++ {
-			uf.Union(int32(o[0]), int32(o[j]))
-		}
-	}
-	groups := map[int32][]int{}
-	for i := range in.parts {
-		p := &in.parts[i]
-		s.Rows = satAdd(s.Rows, ev.rowsUB(p))
-		if len(p.origins) == 0 {
-			continue
-		}
-		r := uf.Find(int32(p.origins[0]))
-		groups[r] = mergeOrigins(groups[r], p.origins)
-	}
-	for _, origins := range groups {
-		prod := ev.originsProduct(origins)
-		s.MergeSpace = satAdd(s.MergeSpace, prod)
-		if prod > s.MaxSpace {
-			s.MaxSpace = prod
-		}
-	}
-	return s
-}
-
-// choiceEst predicts choiceof(e) once the support size is known: the
-// support sweep's share plus one tabulation over the operand's joint
-// origin space times the synthetic unit's |support| alternatives — the
-// exact space choiceRel sweeps, one row at most per joint choice.
-func (ev *evaluator) choiceEst(in *dRel, nSupport int) PlanStats {
-	s := ev.possibleEst(in)
-	if nSupport == 0 {
-		return s
-	}
-	var origins []int
-	for i := range in.parts {
-		origins = mergeOrigins(origins, in.parts[i].origins)
-	}
-	prod := satMul(ev.originsProduct(origins), int64(nSupport))
+// sweep adds one joint-space sweep of prod alternatives to an estimate.
+func (s *PlanStats) sweep(prod int64) {
 	s.MergeSpace = satAdd(s.MergeSpace, prod)
 	if prod > s.MaxSpace {
 		s.MaxSpace = prod
 	}
-	s.Units = int64(len(origins)) + 1
-	s.Rows = prod
+}
+
+// bpart is a part's bound: its origin set, an upper bound on the rows it
+// tabulates, and — for a template-derived part — the symbolic body, so
+// π and σ narrow it exactly as evaluation does.
+type bpart struct {
+	origins []int
+	rows    int64
+	tmpl    *tmplPart
+}
+
+// bounds is the estimating domain: every step propagates bounds without
+// tabulating anything and charges its node's estimate — the one place
+// each operator's estimate formula lives. A bounds walk is the
+// planner's costing; EXPLAIN applies the same steps to the bounds of a
+// concrete node's real inputs.
+type bounds struct{ *evaluator }
+
+// charge records a node's estimate: on the plan node being built, and
+// in the running static cost the planner minimizes — the joint
+// alternatives the node sweeps, plus extra (at a join, the pairwise
+// row-match work σ-pushdown exists to shrink).
+func (b bounds) charge(est PlanStats, extra int64) {
+	if b.cur != nil {
+		b.cur.Est = est
+	}
+	b.priced = satAdd(b.priced, satAdd(est.MergeSpace, extra))
+}
+
+func (b bounds) bound(p *bpart) bpart { return *p }
+
+// stats summarizes bounds as an estimate: parts, distinct choice units,
+// total row bound. Tuple-local operators can only shrink all three.
+func (b bounds) stats(ps []bpart) PlanStats {
+	s := PlanStats{Parts: int64(len(ps)), Units: units(ps)}
+	for i := range ps {
+		s.Rows = satAdd(s.Rows, ps[i].rows)
+	}
 	return s
 }
 
-// diffEst predicts l ∖ r: every left part re-tabulates over its origins
+// units counts the distinct choice units the parts depend on.
+func units(pss ...[]bpart) int64 {
+	var us []int
+	for _, ps := range pss {
+		for i := range ps {
+			us = mergeOrigins(us, ps[i].origins)
+		}
+	}
+	return int64(len(us))
+}
+
+func (b bounds) constRel(n algebra.ConstRel) []bpart {
+	b.charge(PlanStats{Parts: 1, Rows: int64(len(n.Rows))}, 0)
+	return certainPart(int64(len(n.Rows)))
+}
+
+// certainPart bounds a choice-independent row set of at most rows rows.
+func certainPart(rows int64) []bpart {
+	if rows == 0 {
+		return nil
+	}
+	return []bpart{{rows: rows}}
+}
+
+// scan bounds a base-relation scan from the raw decomposition: at most
+// one part per component, every unit potentially touched, and (for
+// tabulated rows) each alternative's full fact list — template
+// components scan symbolically and tabulate nothing. The parts' bounds
+// are cached beside the scan itself.
+func (b bounds) scan(name string) []bpart {
+	sc := b.scans
+	if sc.bounds == nil { // the request's first bounds scan
+		sc.bounds = map[string][]bpart{}
+		for ci := 0; ci < b.w.Components(); ci++ {
+			if _, _, ok := b.w.TemplateSlots(ci); ok {
+				continue
+			}
+			for ai := 0; ai < b.w.AltCount(ci); ai++ {
+				sc.rows = satAdd(sc.rows, int64(b.w.AltSize(ci, ai)))
+			}
+		}
+	}
+	b.charge(PlanStats{Parts: int64(b.w.Components()), Units: int64(b.n), Rows: sc.rows}, 0)
+	if bs, ok := sc.bounds[name]; ok {
+		return bs
+	}
+	real := b.scanParts(name)
+	bs := make([]bpart, len(real))
+	for i := range real {
+		bs[i] = concrete(b).bound(&real[i])
+	}
+	sc.bounds[name] = bs
+	return bs
+}
+
+func (b bounds) project(in drel[bpart], idx []int) []bpart {
+	return b.tupleLocal(in, func(t *tmplPart) *tmplPart { return t.project(idx) })
+}
+
+func (b bounds) selection(in drel[bpart], preds []resolvedPred) []bpart {
+	return b.tupleLocal(in, func(t *tmplPart) *tmplPart { return t.selection(preds) })
+}
+
+// tupleLocal bounds a tuple-local operator: its input's stats are its
+// estimate, tabulated parts keep their bounds, and template parts
+// narrow symbolically (nil: statically empty) to one row at most per
+// joint choice of the units they still reference.
+func (b bounds) tupleLocal(in drel[bpart], narrow func(*tmplPart) *tmplPart) []bpart {
+	b.charge(b.stats(in.parts), 0)
+	out := make([]bpart, 0, len(in.parts))
+	for _, p := range in.parts {
+		if p.tmpl != nil {
+			t := narrow(p.tmpl)
+			if t == nil {
+				continue
+			}
+			origins := t.unitsOf()
+			p = bpart{origins: origins, rows: b.originsProduct(origins), tmpl: t}
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+func (b bounds) rename(in drel[bpart]) []bpart {
+	b.charge(b.stats(in.parts), 0)
+	return in.parts
+}
+
+// join bounds ⋈ before tabulation: every part pair tabulates over its
+// merged origin product, so MergeSpace is the exact sum of those
+// products (evaluation sweeps exactly this space unless it stops early
+// on ErrEntangled — which only makes the actual smaller), and each
+// pair's rows multiply the operands' row bounds.
+func (b bounds) join(l, r drel[bpart], _ []string) ([]bpart, error) {
+	s := PlanStats{Parts: satMul(int64(len(l.parts)), int64(len(r.parts))), Units: units(l.parts, r.parts)}
+	out := make([]bpart, 0, len(l.parts)*len(r.parts))
+	for _, lp := range l.parts {
+		for _, rp := range r.parts {
+			origins := unionOrigins(lp.origins, rp.origins)
+			rows := satMul(lp.rows, rp.rows)
+			s.sweep(b.originsProduct(origins))
+			s.Rows = satAdd(s.Rows, rows)
+			out = append(out, bpart{origins: origins, rows: rows})
+		}
+	}
+	b.charge(s, s.Rows)
+	return out, nil
+}
+
+func (b bounds) union(l, r drel[bpart]) []bpart {
+	out := make([]bpart, 0, len(l.parts)+len(r.parts))
+	out = append(append(out, l.parts...), r.parts...)
+	b.charge(b.stats(out), 0)
+	return out
+}
+
+// diff bounds l ∖ r: every left part re-tabulates over its origins
 // merged with all right-side origins, so MergeSpace is the exact sum of
 // those products, and each left part's row bound multiplies by the
 // subtrahend axes it did not already depend on (its value is repeated
 // across them).
-func (ev *evaluator) diffEst(l, r *dRel) PlanStats {
+func (b bounds) diff(l, r drel[bpart]) ([]bpart, error) {
 	if len(l.parts) == 0 || len(r.parts) == 0 {
-		return ev.drelStats(l)
+		b.charge(b.stats(l.parts), 0)
+		return l.parts, nil
 	}
 	var rOrigins []int
 	for i := range r.parts {
 		rOrigins = mergeOrigins(rOrigins, r.parts[i].origins)
 	}
-	s := PlanStats{Parts: int64(len(l.parts))}
-	var units []int
-	for li := range l.parts {
-		lp := &l.parts[li]
+	s := PlanStats{Parts: int64(len(l.parts)), Units: units(l.parts, r.parts)}
+	out := make([]bpart, 0, len(l.parts))
+	for _, lp := range l.parts {
 		origins := unionOrigins(lp.origins, rOrigins)
-		units = mergeOrigins(units, origins)
-		prod := ev.originsProduct(origins)
-		s.MergeSpace = satAdd(s.MergeSpace, prod)
-		if prod > s.MaxSpace {
-			s.MaxSpace = prod
-		}
-		var extra []int
+		s.sweep(b.originsProduct(origins))
+		repeat := int64(1)
 		for _, o := range rOrigins {
-			if !containsInt(lp.origins, o) {
-				extra = append(extra, o)
+			if _, ok := slices.BinarySearch(lp.origins, o); !ok {
+				repeat = satMul(repeat, int64(b.altCounts[o]))
 			}
 		}
-		s.Rows = satAdd(s.Rows, satMul(ev.rowsUB(lp), ev.originsProduct(extra)))
+		rows := satMul(lp.rows, repeat)
+		s.Rows = satAdd(s.Rows, rows)
+		out = append(out, bpart{origins: origins, rows: rows})
 	}
-	s.Units = int64(len(units))
+	b.charge(s, 0)
+	return out, nil
+}
+
+// support bounds the support sweep of possible and choiceof: each
+// template part sweeps its origin space (tabulated parts contribute
+// their rows directly, no sweep); the support has at most the operand's
+// total row bound of rows.
+func (b bounds) support(in []bpart) PlanStats {
+	s := PlanStats{Parts: 1}
+	for _, p := range in {
+		s.Rows = satAdd(s.Rows, p.rows)
+		if p.tmpl != nil {
+			s.sweep(b.originsProduct(p.origins))
+		}
+	}
 	return s
 }
 
-// containsInt reports membership in a sorted int slice.
-func containsInt(sorted []int, x int) bool {
-	i := sort.SearchInts(sorted, x)
-	return i < len(sorted) && sorted[i] == x
+// possible bounds possible(e): the support sweep, and a single certain
+// part of at most the support's rows.
+func (b bounds) possible(in drel[bpart]) ([]bpart, error) {
+	s := b.support(in.parts)
+	b.charge(s, 0)
+	return certainPart(s.Rows), nil
 }
 
-// setEst records a node estimate on the current plan node (no-op when
-// not planning).
-func (ev *evaluator) setEst(s PlanStats) {
-	if ev.cur != nil {
-		ev.cur.Est = s
+// certain bounds the private sub-decomposition certainRows assembles:
+// one sweep per correlated group (see assemble), a single certain part
+// bounded by the operand's total row bound.
+func (b bounds) certain(in drel[bpart]) ([]bpart, error) {
+	asm := b.assemble(in.parts)
+	s := PlanStats{Parts: 1, MergeSpace: asm.MergeSpace, MaxSpace: asm.MaxSpace}
+	for _, p := range in.parts {
+		s.Rows = satAdd(s.Rows, p.rows)
 	}
+	b.charge(s, 0)
+	return certainPart(s.Rows), nil
 }
 
-// actRows counts the rows actually tabulated across a decomposed
-// relation's parts (template parts hold no tabulated rows).
-func actRows(d *dRel) int64 {
-	var n int64
-	for i := range d.parts {
-		if d.parts[i].tmpl != nil {
-			continue
-		}
-		for _, alt := range d.parts[i].alts {
-			n = satAdd(n, int64(len(alt)))
+// choiceOf bounds the support by its row bound — clamped just past
+// MaxMergeAlts, where evaluation would refuse anyway — and allocates
+// the pick's synthetic unit with that many alternatives.
+func (b bounds) choiceOf(in drel[bpart]) ([]bpart, error) {
+	n := min(b.support(in.parts).Rows, int64(wsd.MaxMergeAlts)+1)
+	u := -1
+	if n > 0 {
+		u = b.addUnit(int(n))
+	}
+	return b.choose(in.parts, n, u), nil
+}
+
+// choose bounds choiceof(e) once the support size n is known (and the
+// pick's unit u allocated when n > 0): the support sweep plus one
+// tabulation over the operand's joint origin space times the pick's n
+// alternatives — the exact space choiceRel sweeps, one row at most per
+// joint choice.
+func (b bounds) choose(in []bpart, n int64, u int) []bpart {
+	s := b.support(in)
+	if n == 0 {
+		b.charge(s, 0)
+		return nil
+	}
+	var origins []int
+	for _, p := range in {
+		origins = mergeOrigins(origins, p.origins)
+	}
+	prod := satMul(b.originsProduct(origins), n)
+	s.sweep(prod)
+	s.Units = int64(len(origins)) + 1
+	s.Rows = prod
+	b.charge(s, 0)
+	return []bpart{{origins: mergeOrigins(origins, []int{u}), rows: prod}}
+}
+
+// assemble bounds a component assembly (the answer's, or certain's
+// private one) of parts grouped by shared origins (see originGroups).
+func (b bounds) assemble(ps []bpart) PlanStats {
+	free := 0
+	for _, p := range ps {
+		if len(p.origins) == 0 {
+			free++
 		}
 	}
-	return n
+	return b.groups(originGroups(b.n, ps, func(p *bpart) []int { return p.origins }), int64(free))
+}
+
+// groups bounds an assembly from its correlated groups: one component
+// per origin-free part (free of them) and per group, each group
+// sweeping the joint space of its merged origins (the template fast
+// path skips the sweep, which only makes the actual smaller).
+func (b bounds) groups(gs []group, free int64) PlanStats {
+	s := PlanStats{Parts: free + int64(len(gs))}
+	var units []int
+	for _, g := range gs {
+		units = mergeOrigins(units, g.origins)
+		s.sweep(b.originsProduct(g.origins))
+	}
+	s.Units = int64(len(units))
+	return s
 }
 
 // statsLine renders one PlanStats side as "k=v ..." with zero fields

@@ -24,24 +24,25 @@
 //     column order. The written order is always a candidate, so the
 //     chosen plan's predicted cost never exceeds the naive plan's.
 //
-// Cost prediction runs the "dry" evaluator: the same part propagation
-// as evaluation — symbolic template narrowing included — but carrying
-// only origin sets and row bounds, never tabulating. Its per-operator
-// origin products are exactly the Est figures of plan.go (joins also
-// charge their pairwise row-match work, the term σ-pushdown shrinks),
-// so what the planner minimizes is what EXPLAIN shows. All rewrites are equivalences of the
-// world-set algebra; results are bit-identical to the naive form (the
+// Cost prediction is a walk of the candidate form in the bounds domain
+// (plan.go): the same part propagation as evaluation — symbolic
+// template narrowing included — carrying only origin sets and row
+// bounds, never tabulating. Each node charges its Est figures, the very
+// ones EXPLAIN shows (joins also charge their pairwise row-match work,
+// the term σ-pushdown shrinks), so what the planner minimizes is what
+// EXPLAIN shows. All rewrites are equivalences of the world-set
+// algebra; results are bit-identical to the naive form (the
 // differential suite races both).
 package wsdalg
 
 import (
 	"fmt"
+	"slices"
 
 	"pw/internal/algebra"
 	"pw/internal/cond"
 	"pw/internal/obs"
 	"pw/internal/query"
-	"pw/internal/unionfind"
 	"pw/internal/wsd"
 )
 
@@ -149,39 +150,24 @@ func formatOuts(outs []query.Out) string {
 // pushSelections sinks selection conjuncts as deep as the algebra's
 // equivalences allow, recursing through every operator.
 func pushSelections(e algebra.Expr) algebra.Expr {
-	switch n := e.(type) {
-	case algebra.Select:
-		child := pushSelections(n.E)
-		var kept []algebra.Pred
-		for _, p := range n.Preds {
-			if c, ok := pushPred(child, p); ok {
-				child = c
-			} else {
-				kept = append(kept, p)
-			}
-		}
-		if len(kept) == 0 {
-			return child
-		}
-		return algebra.Select{E: child, Preds: kept}
-	case algebra.Project:
-		return algebra.Project{E: pushSelections(n.E), Cols: n.Cols}
-	case algebra.Rename:
-		return algebra.Rename{E: pushSelections(n.E), From: n.From, To: n.To}
-	case algebra.Join:
-		return algebra.Join{L: pushSelections(n.L), R: pushSelections(n.R)}
-	case algebra.Union:
-		return algebra.Union{L: pushSelections(n.L), R: pushSelections(n.R)}
-	case algebra.Diff:
-		return algebra.Diff{L: pushSelections(n.L), R: pushSelections(n.R)}
-	case algebra.Possible:
-		return algebra.Possible{E: pushSelections(n.E)}
-	case algebra.Certain:
-		return algebra.Certain{E: pushSelections(n.E)}
-	case algebra.ChoiceOf:
-		return algebra.ChoiceOf{E: pushSelections(n.E)}
+	e = algebra.MapChildren(e, pushSelections)
+	n, ok := e.(algebra.Select)
+	if !ok {
+		return e
 	}
-	return e
+	child := n.E
+	var kept []algebra.Pred
+	for _, p := range n.Preds {
+		if c, ok := pushPred(child, p); ok {
+			child = c
+		} else {
+			kept = append(kept, p)
+		}
+	}
+	if len(kept) == 0 {
+		return child
+	}
+	return algebra.Select{E: child, Preds: kept}
 }
 
 // pushPred sinks one predicate into e where an equivalence allows it,
@@ -261,31 +247,13 @@ func pushOrWrap(e algebra.Expr, p algebra.Pred) algebra.Expr {
 // dimension side of a join, where every dropped row shrinks the join's
 // row-match work for real (the fold is exact, not an estimate).
 func foldConstRels(e algebra.Expr) algebra.Expr {
-	switch n := e.(type) {
-	case algebra.Select:
-		child := foldConstRels(n.E)
-		if c, ok := child.(algebra.ConstRel); ok {
+	e = algebra.MapChildren(e, foldConstRels)
+	if n, ok := e.(algebra.Select); ok {
+		if c, ok := n.E.(algebra.ConstRel); ok {
 			if folded, ok := foldSelect(c, n.Preds); ok {
 				return folded
 			}
 		}
-		return algebra.Select{E: child, Preds: n.Preds}
-	case algebra.Project:
-		return algebra.Project{E: foldConstRels(n.E), Cols: n.Cols}
-	case algebra.Rename:
-		return algebra.Rename{E: foldConstRels(n.E), From: n.From, To: n.To}
-	case algebra.Join:
-		return algebra.Join{L: foldConstRels(n.L), R: foldConstRels(n.R)}
-	case algebra.Union:
-		return algebra.Union{L: foldConstRels(n.L), R: foldConstRels(n.R)}
-	case algebra.Diff:
-		return algebra.Diff{L: foldConstRels(n.L), R: foldConstRels(n.R)}
-	case algebra.Possible:
-		return algebra.Possible{E: foldConstRels(n.E)}
-	case algebra.Certain:
-		return algebra.Certain{E: foldConstRels(n.E)}
-	case algebra.ChoiceOf:
-		return algebra.ChoiceOf{E: foldConstRels(n.E)}
 	}
 	return e
 }
@@ -464,22 +432,11 @@ func pruneExpr(e algebra.Expr, needed []string) algebra.Expr {
 			}
 		}
 		return wrapProject(out, needed, have)
-	case algebra.Union:
-		return algebra.Union{L: pruneExpr(n.L, needed), R: pruneExpr(n.R, needed)}
-	case algebra.Diff:
-		out := algebra.Expr(algebra.Diff{L: pruneSame(n.L), R: pruneSame(n.R)})
-		return wrapProject(out, needed, full)
-	case algebra.Possible:
-		// π commutes with the union over worlds.
-		return algebra.Possible{E: pruneExpr(n.E, needed)}
-	case algebra.Certain, algebra.ChoiceOf:
-		var out algebra.Expr
-		if c, ok := n.(algebra.Certain); ok {
-			out = algebra.Certain{E: pruneSame(c.E)}
-		} else {
-			out = algebra.ChoiceOf{E: pruneSame(n.(algebra.ChoiceOf).E)}
-		}
-		return wrapProject(out, needed, full)
+	case algebra.Union, algebra.Possible:
+		// π distributes over ∪ and commutes with the union over worlds.
+		return algebra.MapChildren(e, func(c algebra.Expr) algebra.Expr { return pruneExpr(c, needed) })
+	case algebra.Diff, algebra.Certain, algebra.ChoiceOf:
+		return wrapProject(algebra.MapChildren(e, pruneSame), needed, full)
 	}
 	// Scans and constants: the narrowing π lands here (symbolic on
 	// templates, tuple-local on alternatives).
@@ -497,7 +454,7 @@ func pruneSame(e algebra.Expr) algebra.Expr {
 }
 
 func wrapProject(e algebra.Expr, needed, have []string) algebra.Expr {
-	if sameCols(needed, have) {
+	if slices.Equal(needed, have) {
 		return e
 	}
 	return algebra.Project{E: e, Cols: needed}
@@ -524,18 +481,6 @@ func orderCols(schema []string, set []string) []string {
 	return out
 }
 
-func sameCols(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ---- join reordering ----
 
 // reorderJoins rewrites every maximal nested natural-join chain into
@@ -543,31 +488,14 @@ func sameCols(a, b []string) bool {
 // to restore the written column order. The written order competes, so
 // the result is never predicted costlier.
 func reorderJoins(base *evaluator, e algebra.Expr) algebra.Expr {
-	switch n := e.(type) {
-	case algebra.Join:
-		leaves := flattenJoin(e)
-		for i := range leaves {
-			leaves[i] = reorderJoins(base, leaves[i])
-		}
-		return bestJoinOrder(base, e, leaves)
-	case algebra.Project:
-		return algebra.Project{E: reorderJoins(base, n.E), Cols: n.Cols}
-	case algebra.Select:
-		return algebra.Select{E: reorderJoins(base, n.E), Preds: n.Preds}
-	case algebra.Rename:
-		return algebra.Rename{E: reorderJoins(base, n.E), From: n.From, To: n.To}
-	case algebra.Union:
-		return algebra.Union{L: reorderJoins(base, n.L), R: reorderJoins(base, n.R)}
-	case algebra.Diff:
-		return algebra.Diff{L: reorderJoins(base, n.L), R: reorderJoins(base, n.R)}
-	case algebra.Possible:
-		return algebra.Possible{E: reorderJoins(base, n.E)}
-	case algebra.Certain:
-		return algebra.Certain{E: reorderJoins(base, n.E)}
-	case algebra.ChoiceOf:
-		return algebra.ChoiceOf{E: reorderJoins(base, n.E)}
+	if _, ok := e.(algebra.Join); !ok {
+		return algebra.MapChildren(e, func(c algebra.Expr) algebra.Expr { return reorderJoins(base, c) })
 	}
-	return e
+	leaves := flattenJoin(e)
+	for i := range leaves {
+		leaves[i] = reorderJoins(base, leaves[i])
+	}
+	return bestJoinOrder(base, e, leaves)
 }
 
 // flattenJoin collects the leaves of a maximal nested-join tree in
@@ -593,10 +521,7 @@ func rebuildJoin(leaves []algebra.Expr, order []int) algebra.Expr {
 // written order and returns the winner (strictly cheaper only), with a
 // π restoring the written column order.
 func bestJoinOrder(base *evaluator, orig algebra.Expr, leaves []algebra.Expr) algebra.Expr {
-	written := make([]int, len(leaves))
-	for i := range written {
-		written[i] = i
-	}
+	written := firstN(len(leaves))
 	if len(leaves) < 3 {
 		return rebuildJoin(leaves, written)
 	}
@@ -605,22 +530,22 @@ func bestJoinOrder(base *evaluator, orig algebra.Expr, leaves []algebra.Expr) al
 		return rebuildJoin(leaves, written)
 	}
 	ev := base.fork()
-	dry := make([]dryRel, len(leaves))
-	var prep int64
+	b := bounds{ev}
+	bs := make([]drel[bpart], len(leaves))
 	for i, l := range leaves {
-		d, err := ev.dryEval(l, &prep)
+		d, err := walk(ev, b, l)
 		if err != nil {
 			return rebuildJoin(leaves, written)
 		}
-		dry[i] = d
+		bs[i] = d
 	}
 	chainCost := func(order []int) int64 {
-		var cost int64
-		acc := dry[order[0]]
+		ev.priced = 0
+		acc := bs[order[0]]
 		for _, i := range order[1:] {
-			acc = ev.dryJoin(acc, dry[i], &cost)
+			acc.parts, _ = b.join(acc, bs[i], nil)
 		}
-		return cost
+		return ev.priced
 	}
 	best := append([]int(nil), written...)
 	bestCost := chainCost(written)
@@ -635,12 +560,9 @@ func bestJoinOrder(base *evaluator, orig algebra.Expr, leaves []algebra.Expr) al
 	} else {
 		consider(greedyOrder(len(leaves), chainCost))
 	}
-	if sameIntSlices(best, firstN(len(leaves))) {
-		return rebuildJoin(leaves, best)
-	}
 	out := rebuildJoin(leaves, best)
 	cols, err := out.Schema()
-	if err != nil || sameCols(cols, origCols) {
+	if err != nil || slices.Equal(cols, origCols) {
 		return out
 	}
 	return algebra.Project{E: out, Cols: origCols}
@@ -652,18 +574,6 @@ func firstN(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func sameIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // permute enumerates permutations of ord in deterministic order,
@@ -704,318 +614,21 @@ func greedyOrder(n int, cost func([]int) int64) []int {
 	return order
 }
 
-// ---- the dry cost model ----
+// ---- costing ----
 
-// dryPart mirrors part for costing: origin set and row bound only,
-// plus the symbolic template body so π/σ narrow it exactly as
-// evaluation would.
-type dryPart struct {
-	origins []int
-	rows    int64
-	tmpl    *tmplPart
-}
-
-type dryRel struct {
-	cols  []string
-	parts []dryPart
-}
-
-// staticCost prices a whole query on a fork of base: per-operator
-// tabulation products plus the final assembly's, exactly the Est
-// figures of plan.go.
+// staticCost prices a whole query on a fork of base: a bounds walk of
+// every output charges each node's estimate (see charge), plus the
+// final assembly's sweeps — exactly the Est figures EXPLAIN shows.
 func staticCost(base *evaluator, a query.Algebra) (int64, error) {
 	ev := base.fork()
-	var cost int64
-	var all []dryPart
+	b := bounds{ev}
+	var all []bpart
 	for _, o := range a.Outs {
-		d, err := ev.dryEval(o.Expr, &cost)
+		d, err := walk(ev, b, o.Expr)
 		if err != nil {
 			return 0, err
 		}
 		all = append(all, d.parts...)
 	}
-	cost = satAdd(cost, dryAssembleCost(ev, all))
-	return cost, nil
-}
-
-// dryAssembleCost mirrors assemble's grouping: correlated parts merge
-// their origin spaces, one product per group.
-func dryAssembleCost(ev *evaluator, parts []dryPart) int64 {
-	uf := unionfind.NewDense(ev.n)
-	for i := range parts {
-		o := parts[i].origins
-		for j := 1; j < len(o); j++ {
-			uf.Union(int32(o[0]), int32(o[j]))
-		}
-	}
-	groups := map[int32][]int{}
-	for i := range parts {
-		if len(parts[i].origins) == 0 {
-			continue
-		}
-		r := uf.Find(int32(parts[i].origins[0]))
-		groups[r] = mergeOrigins(groups[r], parts[i].origins)
-	}
-	var cost int64
-	for _, origins := range groups {
-		cost = satAdd(cost, ev.originsProduct(origins))
-	}
-	return cost
-}
-
-// dryEval propagates parts through e without tabulating anything,
-// accumulating into cost the joint-space products evaluation would
-// sweep. Synthetic choiceof axes are allocated on ev (each costing
-// pass runs on its own fork of the planning base).
-func (ev *evaluator) dryEval(e algebra.Expr, cost *int64) (dryRel, error) {
-	switch n := e.(type) {
-	case algebra.ConstRel:
-		cols, err := n.Schema()
-		if err != nil {
-			return dryRel{}, err
-		}
-		if len(n.Rows) == 0 {
-			return dryRel{cols: cols}, nil
-		}
-		return dryRel{cols: cols, parts: []dryPart{{rows: int64(len(n.Rows))}}}, nil
-
-	case algebra.Rel:
-		cols, err := n.Schema()
-		if err != nil {
-			return dryRel{}, err
-		}
-		real := ev.scanParts(n.Name)
-		d := dryRel{cols: cols, parts: make([]dryPart, len(real))}
-		for i := range real {
-			p := &real[i]
-			d.parts[i] = dryPart{origins: p.origins, rows: ev.rowsUB(p), tmpl: p.tmpl}
-		}
-		return d, nil
-
-	case algebra.Project:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dryRel{}, err
-		}
-		idx := make([]int, len(n.Cols))
-		for i, c := range n.Cols {
-			idx[i] = indexOf(in.cols, c)
-		}
-		out := dryRel{cols: n.Cols}
-		for _, p := range in.parts {
-			if t := p.tmpl; t != nil {
-				nt := &tmplPart{out: make([]tmplCol, len(idx)), preds: t.preds}
-				for i, j := range idx {
-					nt.out[i] = t.out[j]
-				}
-				origins := nt.unitsOf()
-				out.parts = append(out.parts, dryPart{origins: origins,
-					rows: ev.originsProduct(origins), tmpl: nt})
-				continue
-			}
-			out.parts = append(out.parts, p)
-		}
-		return out, nil
-
-	case algebra.Select:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dryRel{}, err
-		}
-		preds, err := resolvePreds(n.Preds, in.cols)
-		if err != nil {
-			return dryRel{}, err
-		}
-		out := dryRel{cols: in.cols}
-	dryParts:
-		for _, p := range in.parts {
-			if t := p.tmpl; t != nil {
-				nt := &tmplPart{out: t.out, preds: append([]tmplPred(nil), t.preds...)}
-				for _, rp := range preds {
-					tp := tmplPred{eq: rp.eq,
-						l: tmplColOf(t, rp.lIdx, rp.lConst),
-						r: tmplColOf(t, rp.rIdx, rp.rCon)}
-					if tp.l.unit < 0 && tp.r.unit < 0 {
-						if tp.eq != (tp.l.constID == tp.r.constID) {
-							continue dryParts
-						}
-						continue
-					}
-					nt.preds = append(nt.preds, tp)
-				}
-				origins := nt.unitsOf()
-				out.parts = append(out.parts, dryPart{origins: origins,
-					rows: ev.originsProduct(origins), tmpl: nt})
-				continue
-			}
-			out.parts = append(out.parts, p)
-		}
-		return out, nil
-
-	case algebra.Rename:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		cols, err := n.Schema()
-		if err != nil {
-			return dryRel{}, err
-		}
-		return dryRel{cols: cols, parts: in.parts}, nil
-
-	case algebra.Join:
-		l, err := ev.dryEval(n.L, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		r, err := ev.dryEval(n.R, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dryRel{}, err
-		}
-		return ev.dryJoin(l, r, cost), nil
-
-	case algebra.Union:
-		l, err := ev.dryEval(n.L, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		r, err := ev.dryEval(n.R, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dryRel{}, err
-		}
-		return dryRel{cols: l.cols, parts: append(append([]dryPart(nil), l.parts...), r.parts...)}, nil
-
-	case algebra.Diff:
-		l, err := ev.dryEval(n.L, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		r, err := ev.dryEval(n.R, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dryRel{}, err
-		}
-		if len(l.parts) == 0 || len(r.parts) == 0 {
-			return l, nil
-		}
-		var rOrigins []int
-		for i := range r.parts {
-			rOrigins = mergeOrigins(rOrigins, r.parts[i].origins)
-		}
-		out := dryRel{cols: l.cols}
-		for _, lp := range l.parts {
-			origins := unionOrigins(lp.origins, rOrigins)
-			*cost = satAdd(*cost, ev.originsProduct(origins))
-			var extra []int
-			for _, o := range rOrigins {
-				if !containsInt(lp.origins, o) {
-					extra = append(extra, o)
-				}
-			}
-			out.parts = append(out.parts, dryPart{origins: origins,
-				rows: satMul(lp.rows, ev.originsProduct(extra))})
-		}
-		return out, nil
-
-	case algebra.Possible:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		rows := drySupport(ev, &in, cost)
-		if rows == 0 {
-			return dryRel{cols: in.cols}, nil
-		}
-		return dryRel{cols: in.cols, parts: []dryPart{{rows: rows}}}, nil
-
-	case algebra.Certain:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		var rows int64
-		for i := range in.parts {
-			rows = satAdd(rows, in.parts[i].rows)
-		}
-		*cost = satAdd(*cost, dryAssembleCost(ev, in.parts))
-		if rows == 0 {
-			return dryRel{cols: in.cols}, nil
-		}
-		return dryRel{cols: in.cols, parts: []dryPart{{rows: rows}}}, nil
-
-	case algebra.ChoiceOf:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		support := drySupport(ev, &in, cost)
-		if support == 0 {
-			return dryRel{cols: in.cols}, nil
-		}
-		if support > int64(wsd.MaxMergeAlts) {
-			support = int64(wsd.MaxMergeAlts) + 1
-		}
-		u := ev.addUnit(int(support))
-		var origins []int
-		for i := range in.parts {
-			origins = mergeOrigins(origins, in.parts[i].origins)
-		}
-		all := mergeOrigins(origins, []int{u})
-		prod := ev.originsProduct(all)
-		*cost = satAdd(*cost, prod)
-		return dryRel{cols: in.cols, parts: []dryPart{{origins: all, rows: prod}}}, nil
-	}
-	return dryRel{}, fmt.Errorf("wsdalg: unknown expression %T", e)
-}
-
-// dryJoin prices one pairwise-part join round, mirroring joinRels:
-// the joint-space sweep plus the row-match work per pair (each joint
-// alternative matches the sides' row sets against each other, so a
-// selection pushed below the join shrinks this term — the quantity the
-// planner's σ-pushdown exists to reduce).
-func (ev *evaluator) dryJoin(l, r dryRel, cost *int64) dryRel {
-	cols := append([]string(nil), l.cols...)
-	for _, c := range r.cols {
-		if indexOf(l.cols, c) < 0 {
-			cols = append(cols, c)
-		}
-	}
-	out := dryRel{cols: cols}
-	for i := range l.parts {
-		for j := range r.parts {
-			origins := unionOrigins(l.parts[i].origins, r.parts[j].origins)
-			rows := satMul(l.parts[i].rows, r.parts[j].rows)
-			*cost = satAdd(*cost, satAdd(ev.originsProduct(origins), rows))
-			out.parts = append(out.parts, dryPart{origins: origins, rows: rows})
-		}
-	}
-	return out
-}
-
-// drySupport prices the support sweep of possible/choiceof (template
-// parts sweep their origin space) and returns the support row bound.
-func drySupport(ev *evaluator, in *dryRel, cost *int64) int64 {
-	var rows int64
-	for i := range in.parts {
-		p := &in.parts[i]
-		rows = satAdd(rows, p.rows)
-		if p.tmpl != nil {
-			*cost = satAdd(*cost, ev.originsProduct(p.origins))
-		}
-	}
-	return rows
+	return satAdd(ev.priced, b.assemble(all).MergeSpace), nil
 }

@@ -128,23 +128,18 @@ func Supported(q query.Query) error {
 // Out). Errors: unsupported queries (ErrUnsupported), schema errors
 // from the algebra layer, and the ErrEntangled blow-up guard.
 func Eval(w *wsd.WSD, q query.Query) (*wsd.WSD, error) {
-	return EvalObserved(w, q, nil)
+	return evalCore(w, q, nil, nil, nil)
 }
 
-// EvalObserved is Eval with a cost-accounting sink: the evaluator
+// evalCore is the evaluation proper behind Eval, the answer-set helpers
+// and EvalPlanned. A non-nil c is a cost-accounting sink: the evaluator
 // records the input component count, parts built, joint alternatives
 // tabulated by the odometer, and the largest joint space any assembly
-// needed (the MaxMergeAlts headroom) into c. A nil c makes this exactly
-// Eval.
-func EvalObserved(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, error) {
-	return evalCore(w, q, c, nil, nil)
-}
-
-// evalCore is the shared body of EvalObserved and EvalPlanned: the
-// evaluation proper, with an optional plan to fill (nil plan = no plan
-// bookkeeping at all on the hot path). A non-nil base is the request's
-// planning evaluator over w: the evaluation runs on a fork of it and
-// reuses the scans planning already built.
+// needed (the MaxMergeAlts headroom). A non-nil pl is a plan to fill
+// (nil = no plan bookkeeping and no estimates on the hot path). A
+// non-nil base is the request's planning evaluator over w: the
+// evaluation runs on a fork of it and reuses the scans planning already
+// built.
 func evalCore(w *wsd.WSD, q query.Query, c *obs.Cost, pl *Plan, base *evaluator) (*wsd.WSD, error) {
 	if err := Supported(q); err != nil {
 		return nil, err
@@ -199,7 +194,7 @@ func evalCore(w *wsd.WSD, q query.Query, c *obs.Cost, pl *Plan, base *evaluator)
 			pl.Outs = append(pl.Outs, outNode)
 			ev.cur = outNode
 		}
-		d, err := ev.eval(o.Expr)
+		d, err := walk(ev, concrete{ev}, o.Expr)
 		if err != nil {
 			outNode.markError(err)
 			return nil, fmt.Errorf("%s: %w", a.Label(), err)
@@ -269,76 +264,40 @@ type taggedPart struct {
 // asm (nil when not explaining) receives the assembly estimates and
 // actuals. Normalization is the caller's job.
 func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) error {
-	// Group correlated parts: parts sharing an origin component are
-	// functions of the same input choice, so they must land in one
-	// answer component.
-	uf := unionfind.NewDense(ev.n)
-	for _, op := range parts {
-		if len(op.p.origins) == 0 {
-			continue // constant rows: handled as certain components below
-		}
-		for _, o := range op.p.origins[1:] {
-			uf.Union(int32(op.p.origins[0]), int32(o))
-		}
-	}
-	groups := map[int32][]taggedPart{}
-	var order []int32
 	zero := make([]int, ev.n)
 	for _, op := range parts {
-		if len(op.p.origins) == 0 {
-			rows := op.p.at(zero, ev) // constant rows: choice-independent
-			alt := make(wsd.Alt, 0, len(rows))
-			for _, t := range rows {
-				alt = append(alt, wsd.Fact{Rel: op.rel, Args: rel.ResolveFact(t)})
-			}
-			if err := out.AddComponent(alt); err != nil {
-				asm.markError(err)
-				return err
-			}
-			if asm != nil {
-				asm.Act.Parts++
-			}
+		if len(op.p.origins) > 0 {
 			continue
 		}
-		r := uf.Find(int32(op.p.origins[0]))
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
+		rows := op.p.at(zero, ev) // constant rows: choice-independent
+		alt := make(wsd.Alt, 0, len(rows))
+		for _, t := range rows {
+			alt = append(alt, wsd.Fact{Rel: op.rel, Args: rel.ResolveFact(t)})
 		}
-		groups[r] = append(groups[r], op)
+		if err := out.AddComponent(alt); err != nil {
+			asm.markError(err)
+			return err
+		}
+		if asm != nil {
+			asm.Act.Parts++
+		}
 	}
 
-	// Assembly estimate, before any group tabulates: each group sweeps
-	// the joint space of its merged origins (the template fast path
-	// skips the sweep entirely, which only makes the actual smaller).
+	// Parts sharing an origin unit are functions of the same input
+	// choice, so each correlated group lands in one answer component.
+	groups := originGroups(ev.n, parts, func(op *taggedPart) []int { return op.p.origins })
 	if asm != nil {
-		asm.Est.Parts = asm.Act.Parts + int64(len(order))
-		var units []int
-		for _, r := range order {
-			var origins []int
-			for _, op := range groups[r] {
-				origins = mergeOrigins(origins, op.p.origins)
-			}
-			units = mergeOrigins(units, origins)
-			prod := ev.originsProduct(origins)
-			asm.Est.MergeSpace = satAdd(asm.Est.MergeSpace, prod)
-			if prod > asm.Est.MaxSpace {
-				asm.Est.MaxSpace = prod
-			}
-		}
-		asm.Est.Units = int64(len(units))
+		asm.Est = bounds{ev}.groups(groups, asm.Act.Parts)
 	}
-
-	for _, r := range order {
-		group := groups[r]
-
+	for _, g := range groups {
 		// Template fast path: a lone predicate-free template part whose
 		// out-columns reference each origin slot exactly once is itself
 		// an attribute-level component of the answer — emit it factored,
 		// never tabulating the field product. This is what lets σ/π/ρ
 		// pipelines over 2^100-world attribute decompositions answer in
 		// decomposition size.
-		if len(group) == 1 {
-			if emitted, err := ev.emitTemplate(out, group[0].rel, &group[0].p); err != nil {
+		if len(g.parts) == 1 {
+			if emitted, err := ev.emitTemplate(out, parts[g.parts[0]].rel, &parts[g.parts[0]].p); err != nil {
 				asm.markError(err)
 				return err
 			} else if emitted {
@@ -349,20 +308,17 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 			}
 		}
 
-		var origins []int
-		for _, op := range group {
-			origins = mergeOrigins(origins, op.p.origins)
-		}
-		space, err := ev.space(origins)
+		space, err := ev.space(g.origins)
 		if err != nil {
 			asm.markError(err)
 			return err
 		}
 		alts := make([]wsd.Alt, 0, space)
 		choice := make([]int, ev.n)
-		ev.odometer(origins, choice, func() {
+		ev.odometer(g.origins, choice, func() {
 			var alt wsd.Alt
-			for _, op := range group {
+			for _, i := range g.parts {
+				op := &parts[i]
 				for _, t := range op.p.at(choice, ev) {
 					alt = append(alt, wsd.Fact{Rel: op.rel, Args: rel.ResolveFact(t)})
 				}
@@ -378,6 +334,47 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 		}
 	}
 	return nil
+}
+
+// group is one set of correlated parts: parts sharing an origin unit,
+// transitively, tabulate jointly over their merged origins.
+type group struct {
+	parts   []int // member indexes, in input order
+	origins []int
+}
+
+// originGroups partitions the parts that have origins into correlated
+// groups, numbered in first-seen order. Origin-free parts join none.
+func originGroups[T any](n int, parts []T, originsOf func(*T) []int) []group {
+	uf := unionfind.NewDense(n)
+	for i := range parts {
+		if o := originsOf(&parts[i]); len(o) > 1 {
+			for _, x := range o[1:] {
+				uf.Union(int32(o[0]), int32(x))
+			}
+		}
+	}
+	var groups []group
+	numbered := map[int32]int{}
+	for i := range parts {
+		o := originsOf(&parts[i])
+		if len(o) == 0 {
+			continue
+		}
+		r := uf.Find(int32(o[0]))
+		g, ok := numbered[r]
+		if !ok {
+			g = len(groups)
+			numbered[r] = g
+			// Capped: the group's first merge copies instead of writing
+			// into the part's own origins.
+			groups = append(groups, group{origins: o[:len(o):len(o)]})
+		} else {
+			groups[g].origins = mergeOrigins(groups[g].origins, o)
+		}
+		groups[g].parts = append(groups[g].parts, i)
+	}
+	return groups
 }
 
 // emitTemplate recognizes a part that is exactly an answer-side
@@ -509,18 +506,60 @@ func (t *tmplPart) unitsOf() []int {
 	return units
 }
 
-// dRel is a decomposed relation: named columns over a union of parts.
-// The relation's value in a world is the union of every part's value at
-// that world's choice vector.
-type dRel struct {
-	cols  []string
-	parts []part
+// project narrows a template body to the given columns, predicates
+// kept: a π over a few fields of a wide template depends on those
+// fields' units only.
+func (t *tmplPart) project(idx []int) *tmplPart {
+	nt := &tmplPart{out: make([]tmplCol, len(idx)), preds: t.preds}
+	for i, j := range idx {
+		nt.out[i] = t.out[j]
+	}
+	return nt
 }
+
+// selection compiles predicates against the template's column sources.
+// Constant-only predicates decide statically — a false one empties the
+// part (nil result), a true one is dropped; the rest filter per choice.
+func (t *tmplPart) selection(preds []resolvedPred) *tmplPart {
+	nt := &tmplPart{out: t.out, preds: append([]tmplPred(nil), t.preds...)}
+	for _, rp := range preds {
+		tp := tmplPred{eq: rp.eq,
+			l: tmplColOf(t, rp.lIdx, rp.lConst),
+			r: tmplColOf(t, rp.rIdx, rp.rCon)}
+		if tp.l.unit < 0 && tp.r.unit < 0 {
+			if tp.eq != (tp.l.constID == tp.r.constID) {
+				return nil
+			}
+			continue
+		}
+		nt.preds = append(nt.preds, tp)
+	}
+	return nt
+}
+
+// templatePart is the part with template body t: its origins are
+// exactly the units t references.
+func templatePart(t *tmplPart) part {
+	return part{origins: t.unitsOf(), tmpl: t}
+}
+
+// drel is a decomposed relation in one domain: named columns over a
+// union of parts. In the concrete domain (dRel) the relation's value in
+// a world is the union of every part's value at that world's choice
+// vector.
+type drel[P any] struct {
+	cols  []string
+	parts []P
+}
+
+type dRel = drel[part]
 
 // evaluator carries the per-evaluation state: the input decomposition
 // flattened into choice units, per-unit alternative counts and slot
 // values, and a per-relation scan cache (the same base relation scanned
 // twice shares its parts; parts are never mutated after construction).
+// Both domains run on it: priced accumulates every node's estimate
+// (see charge), which is the planner's static cost of a bounds walk.
 //
 // A unit is one independent choice axis of the input: a whole
 // tuple-level component, or one open slot (two or more values) of an
@@ -537,16 +576,28 @@ type evaluator struct {
 	// slot's (-1 for a fixed slot).
 	compAt []int32
 	unitAt []int32
-	scans  map[string][]part
-	cost   *obs.Cost // per-request sink (nil when untraced)
-	plan   *Plan     // plan under construction (nil when not explaining)
-	cur    *PlanNode // node receiving space() actuals right now
+	scans  *scanCache // the base evaluator's cache, shared by its forks
+	cache  scanCache  // backs scans on a base evaluator
+	cost   *obs.Cost  // per-request sink (nil when untraced)
+	plan   *Plan      // plan under construction (nil when not explaining)
+	cur    *PlanNode  // node receiving space() actuals and the estimate right now
+	priced int64      // Σ node estimates charged so far (saturating)
+}
+
+// scanCache holds one request's base-relation scans, shared by every
+// fork: each relation's tabulated parts and their bounds, and the row
+// total of the scan estimate (set with the first bounds).
+type scanCache struct {
+	parts  map[string][]part
+	bounds map[string][]bpart
+	rows   int64
 }
 
 func newEvaluator(w *wsd.WSD) *evaluator {
 	nc := w.Components()
-	ev := &evaluator{w: w, scans: map[string][]part{}, compAt: make([]int32, nc),
+	ev := &evaluator{w: w, cache: scanCache{parts: map[string][]part{}}, compAt: make([]int32, nc),
 		altCounts: make([]int, 0, nc), cells: make([][]sym.ID, 0, nc), unitAt: make([]int32, 0, nc)}
+	ev.scans = &ev.cache
 	for ci := 0; ci < nc; ci++ {
 		ev.compAt[ci] = int32(len(ev.unitAt))
 		if _, cells, ok := w.TemplateSlots(ci); ok {
@@ -639,7 +690,7 @@ func (ev *evaluator) odometer(origins []int, choice []int, fn func()) {
 // Tabulated parts hold the decomposition's own interned tuples
 // (wsd.AltTuples), read-only like every part's rows.
 func (ev *evaluator) scanParts(name string) []part {
-	if ps, ok := ev.scans[name]; ok {
+	if ps, ok := ev.scans.parts[name]; ok {
 		return ps
 	}
 	ri := relIndex(ev.w, name)
@@ -657,7 +708,7 @@ func (ev *evaluator) scanParts(name string) []part {
 				}
 				t.out[si] = tmplCol{unit: ev.unitOf(ci, si)}
 			}
-			ps = append(ps, part{origins: t.unitsOf(), tmpl: t})
+			ps = append(ps, templatePart(t))
 			continue
 		}
 		u := ev.unitOf(ci, -1)
@@ -674,7 +725,7 @@ func (ev *evaluator) scanParts(name string) []part {
 			ps = append(ps, part{origins: []int{u}, alts: alts})
 		}
 	}
-	ev.scans[name] = ps
+	ev.scans.parts[name] = ps
 	return ps
 }
 
@@ -711,15 +762,36 @@ func (ev *evaluator) addUnit(altCount int) int {
 	return u
 }
 
-// eval evaluates one algebra expression to a decomposed relation. When
-// a plan is being built it wraps evalExpr in a PlanNode: the node is
-// attached to its parent *before* the body runs (so an error retains
-// the partial subtree), receives space() actuals while it is current,
-// and is closed with parts/units/rows actuals and wall time afterwards.
-// Without a plan it is evalExpr with zero overhead.
-func (ev *evaluator) eval(e algebra.Expr) (dRel, error) {
+// A domain interprets the algebra's operators on one kind of part: the
+// concrete domain tabulates row sets (the evaluation proper), the
+// bounds domain carries origin sets and row bounds (estimates and the
+// planner's costing). A step does one operator's own work on evaluated
+// operands; the walk does everything else.
+type domain[P any] interface {
+	// bound abstracts one part to the bounds domain.
+	bound(p *P) bpart
+	constRel(n algebra.ConstRel) []P
+	scan(name string) []P
+	project(in drel[P], idx []int) []P
+	selection(in drel[P], preds []resolvedPred) []P
+	rename(in drel[P]) []P
+	join(l, r drel[P], cols []string) ([]P, error)
+	union(l, r drel[P]) []P
+	diff(l, r drel[P]) ([]P, error)
+	possible(in drel[P]) ([]P, error)
+	certain(in drel[P]) ([]P, error)
+	choiceOf(in drel[P]) ([]P, error)
+}
+
+// walk interprets e in domain d. When a plan is being built it wraps
+// step in a PlanNode: the node is attached to its parent *before* the
+// body runs (so an error retains the partial subtree), receives the
+// estimate and space() actuals while it is current, and is closed with
+// parts/units/rows actuals and wall time afterwards. Without a plan it
+// is step with zero overhead.
+func walk[P any](ev *evaluator, d domain[P], e algebra.Expr) (drel[P], error) {
 	if ev.plan == nil {
-		return ev.evalExpr(e)
+		return step(ev, d, e)
 	}
 	node := &PlanNode{Op: opName(e), Detail: opDetail(e)}
 	parent := ev.cur
@@ -728,277 +800,325 @@ func (ev *evaluator) eval(e algebra.Expr) (dRel, error) {
 	}
 	ev.cur = node
 	start := time.Now()
-	d, err := ev.evalExpr(e)
+	out, err := step(ev, d, e)
 	node.Act.DurUS = time.Since(start).Microseconds()
 	ev.cur = parent
 	if err != nil {
 		node.markError(err)
-		return d, err
+		return out, err
 	}
-	node.Act.Parts = int64(len(d.parts))
+	node.Act.Parts = int64(len(out.parts))
 	var units []int
-	for i := range d.parts {
-		units = mergeOrigins(units, d.parts[i].origins)
+	for i := range out.parts {
+		b := d.bound(&out.parts[i])
+		units = mergeOrigins(units, b.origins)
+		if b.tmpl == nil {
+			node.Act.Rows = satAdd(node.Act.Rows, b.rows) // template parts tabulate nothing
+		}
 	}
 	node.Act.Units = int64(len(units))
-	node.Act.Rows = actRows(&d)
-	return d, nil
+	return out, nil
 }
 
-// evalExpr is the operator dispatch. It mirrors algebra.evalInst case
-// by case, lifted from row sets to parts. Each case records its
-// estimate (via setEst, a no-op when not planning) from its inputs
-// before its own work runs.
-func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
+// step is the operator dispatch — the package's one per-operator switch
+// over the algebra. It mirrors algebra.evalInst case by case: it
+// evaluates the operands, checks the schema, resolves predicates and
+// column indices, and hands the operator's own work to d.
+func step[P any](ev *evaluator, d domain[P], e algebra.Expr) (drel[P], error) {
+	var (
+		out, in, l, r drel[P]
+		err           error
+	)
 	switch n := e.(type) {
 	case algebra.ConstRel:
-		cols, err := n.Schema()
-		if err != nil {
-			return dRel{}, err
+		if out.cols, err = n.Schema(); err != nil {
+			return out, err
 		}
-		ev.setEst(PlanStats{Parts: 1, Rows: int64(len(n.Rows))})
-		rows := make([]sym.Tuple, 0, len(n.Rows))
-		for _, r := range n.Rows {
-			rows = append(rows, rel.Fact(r).Intern())
-		}
-		rows = sortDedupTuples(rows)
-		if len(rows) == 0 {
-			return dRel{cols: cols}, nil
-		}
-		return dRel{cols: cols, parts: []part{{alts: [][]sym.Tuple{rows}}}}, nil
+		out.parts = d.constRel(n)
 
 	case algebra.Rel:
-		cols, err := n.Schema()
-		if err != nil {
-			return dRel{}, err
+		if out.cols, err = n.Schema(); err != nil {
+			return out, err
 		}
 		ri := relIndex(ev.w, n.Name)
 		if ri < 0 {
-			return dRel{}, fmt.Errorf("wsdalg: relation %s not in decomposition", n.Name)
+			return out, fmt.Errorf("wsdalg: relation %s not in decomposition", n.Name)
 		}
-		if ev.w.Schema()[ri].Arity != len(cols) {
-			return dRel{}, fmt.Errorf("wsdalg: scan %s names %d columns, relation has arity %d",
-				n.Name, len(cols), ev.w.Schema()[ri].Arity)
+		if ev.w.Schema()[ri].Arity != len(out.cols) {
+			return out, fmt.Errorf("wsdalg: scan %s names %d columns, relation has arity %d",
+				n.Name, len(out.cols), ev.w.Schema()[ri].Arity)
 		}
-		if ev.cur != nil {
-			ev.setEst(ev.scanEst(n.Name))
-		}
-		return dRel{cols: cols, parts: ev.scanParts(n.Name)}, nil
+		out.parts = d.scan(n.Name)
 
 	case algebra.Project:
-		in, err := ev.eval(n.E)
-		if err != nil {
-			return dRel{}, err
+		if in, err = walk(ev, d, n.E); err != nil {
+			return out, err
 		}
-		if _, err := n.Schema(); err != nil {
-			return dRel{}, err
-		}
-		if ev.cur != nil {
-			ev.setEst(ev.drelStats(&in))
+		if _, err = n.Schema(); err != nil {
+			return out, err
 		}
 		idx := make([]int, len(n.Cols))
 		for i, c := range n.Cols {
 			idx[i] = indexOf(in.cols, c)
 		}
-		out := dRel{cols: n.Cols}
-		for i := range in.parts {
-			p := &in.parts[i]
-			if t := p.tmpl; t != nil {
-				// Symbolic projection: reindex the out-columns and narrow
-				// the origins to the slots still referenced — a π over a
-				// few fields of a wide template depends on those fields'
-				// units only.
-				nt := &tmplPart{out: make([]tmplCol, len(idx)), preds: t.preds}
-				for i, j := range idx {
-					nt.out[i] = t.out[j]
-				}
-				out.parts = append(out.parts, part{origins: nt.unitsOf(), tmpl: nt})
-				continue
-			}
-			mapPart(&out, p, func(t sym.Tuple) (sym.Tuple, bool) {
-				g := make(sym.Tuple, len(idx))
-				for i, j := range idx {
-					g[i] = t[j]
-				}
-				return g, true
-			})
-		}
-		return out, nil
+		out.cols = n.Cols
+		out.parts = d.project(in, idx)
 
 	case algebra.Select:
-		in, err := ev.eval(n.E)
-		if err != nil {
-			return dRel{}, err
+		if in, err = walk(ev, d, n.E); err != nil {
+			return out, err
 		}
-		if _, err := n.Schema(); err != nil {
-			return dRel{}, err
+		if _, err = n.Schema(); err != nil {
+			return out, err
 		}
 		// Resolve each predicate once to column indices / interned
 		// constants; alternatives are ground, so selection is an exact
 		// per-row ID comparison — = and ≠ evaluate uniformly, which is
 		// why ≠ selections are decidable on decompositions.
-		preds, err := resolvePreds(n.Preds, in.cols)
-		if err != nil {
-			return dRel{}, err
+		var preds []resolvedPred
+		if preds, err = resolvePreds(n.Preds, in.cols); err != nil {
+			return out, err
 		}
-		if ev.cur != nil {
-			ev.setEst(ev.drelStats(&in))
-		}
-		out := dRel{cols: in.cols}
-	selParts:
-		for i := range in.parts {
-			p := &in.parts[i]
-			if t := p.tmpl; t != nil {
-				// Symbolic selection: compile each predicate against the
-				// template's column sources. Constant-only predicates
-				// decide statically (a false one empties the part); the
-				// rest filter per choice, origins untouched.
-				nt := &tmplPart{out: t.out, preds: append([]tmplPred(nil), t.preds...)}
-				for _, rp := range preds {
-					tp := tmplPred{eq: rp.eq,
-						l: tmplColOf(t, rp.lIdx, rp.lConst),
-						r: tmplColOf(t, rp.rIdx, rp.rCon)}
-					if tp.l.unit < 0 && tp.r.unit < 0 {
-						if tp.eq != (tp.l.constID == tp.r.constID) {
-							continue selParts // statically empty part
-						}
-						continue // statically true: drop the predicate
-					}
-					nt.preds = append(nt.preds, tp)
-				}
-				out.parts = append(out.parts, part{origins: nt.unitsOf(), tmpl: nt})
-				continue
-			}
-			mapPart(&out, p, func(t sym.Tuple) (sym.Tuple, bool) {
-				for _, p := range preds {
-					if !p.holds(t) {
-						return nil, false
-					}
-				}
-				return t, true
-			})
-		}
-		return out, nil
+		out.cols = in.cols
+		out.parts = d.selection(in, preds)
 
 	case algebra.Rename:
-		in, err := ev.eval(n.E)
-		if err != nil {
-			return dRel{}, err
+		if in, err = walk(ev, d, n.E); err != nil {
+			return out, err
 		}
-		cols, err := n.Schema()
-		if err != nil {
-			return dRel{}, err
+		if out.cols, err = n.Schema(); err != nil {
+			return out, err
 		}
-		if ev.cur != nil {
-			ev.setEst(ev.drelStats(&in))
-		}
-		return dRel{cols: cols, parts: in.parts}, nil
+		out.parts = d.rename(in)
 
 	case algebra.Join:
-		l, err := ev.eval(n.L)
-		if err != nil {
-			return dRel{}, err
+		if l, r, out.cols, err = operands(ev, d, e, n.L, n.R); err != nil {
+			return out, err
 		}
-		r, err := ev.eval(n.R)
-		if err != nil {
-			return dRel{}, err
-		}
-		cols, err := n.Schema()
-		if err != nil {
-			return dRel{}, err
-		}
-		if ev.cur != nil {
-			ev.setEst(ev.joinEst(&l, &r))
-		}
-		return ev.joinRels(l, r, cols)
+		out.parts, err = d.join(l, r, out.cols)
 
 	case algebra.Union:
-		l, err := ev.eval(n.L)
-		if err != nil {
-			return dRel{}, err
+		if l, r, _, err = operands(ev, d, e, n.L, n.R); err != nil {
+			return out, err
 		}
-		r, err := ev.eval(n.R)
-		if err != nil {
-			return dRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dRel{}, err
-		}
-		parts := make([]part, 0, len(l.parts)+len(r.parts))
-		parts = append(parts, l.parts...)
-		parts = append(parts, r.parts...)
-		u := dRel{cols: l.cols, parts: parts}
-		if ev.cur != nil {
-			ev.setEst(ev.drelStats(&u))
-		}
-		return u, nil
+		out.cols = l.cols
+		out.parts = d.union(l, r)
 
 	case algebra.Diff:
-		l, err := ev.eval(n.L)
-		if err != nil {
-			return dRel{}, err
+		if l, r, _, err = operands(ev, d, e, n.L, n.R); err != nil {
+			return out, err
 		}
-		r, err := ev.eval(n.R)
-		if err != nil {
-			return dRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dRel{}, err
-		}
-		if ev.cur != nil {
-			ev.setEst(ev.diffEst(&l, &r))
-		}
-		return ev.diffRels(&l, &r)
+		out.cols = l.cols
+		out.parts, err = d.diff(l, r)
 
 	case algebra.Possible:
-		in, err := ev.eval(n.E)
-		if err != nil {
-			return dRel{}, err
+		if in, err = walk(ev, d, n.E); err != nil {
+			return out, err
 		}
-		if ev.cur != nil {
-			ev.setEst(ev.possibleEst(&in))
-		}
-		rows, err := ev.supportRows(&in)
-		if err != nil {
-			return dRel{}, err
-		}
-		if len(rows) == 0 {
-			return dRel{cols: in.cols}, nil
-		}
-		return dRel{cols: in.cols, parts: []part{{alts: [][]sym.Tuple{rows}}}}, nil
+		out.cols = in.cols
+		out.parts, err = d.possible(in)
 
 	case algebra.Certain:
-		in, err := ev.eval(n.E)
-		if err != nil {
-			return dRel{}, err
+		if in, err = walk(ev, d, n.E); err != nil {
+			return out, err
 		}
-		if ev.cur != nil {
-			ev.setEst(ev.certainEst(&in))
-		}
-		rows, err := ev.certainRows(&in)
-		if err != nil {
-			return dRel{}, err
-		}
-		if len(rows) == 0 {
-			return dRel{cols: in.cols}, nil
-		}
-		return dRel{cols: in.cols, parts: []part{{alts: [][]sym.Tuple{rows}}}}, nil
+		out.cols = in.cols
+		out.parts, err = d.certain(in)
 
 	case algebra.ChoiceOf:
-		in, err := ev.eval(n.E)
-		if err != nil {
-			return dRel{}, err
+		if in, err = walk(ev, d, n.E); err != nil {
+			return out, err
 		}
-		support, err := ev.supportRows(&in)
-		if err != nil {
-			return dRel{}, err
-		}
-		if ev.cur != nil {
-			ev.setEst(ev.choiceEst(&in, len(support)))
-		}
-		return ev.choiceRel(&in, support)
+		out.cols = in.cols
+		out.parts, err = d.choiceOf(in)
+
+	default:
+		return out, fmt.Errorf("wsdalg: unknown expression %T", e)
 	}
-	return dRel{}, fmt.Errorf("wsdalg: unknown expression %T", e)
+	return out, err
+}
+
+// operands walks a binary operator's operands, left first, then
+// checks the operator's own schema.
+func operands[P any](ev *evaluator, d domain[P], e, le, re algebra.Expr) (l, r drel[P], cols []string, err error) {
+	if l, err = walk(ev, d, le); err != nil {
+		return l, r, nil, err
+	}
+	if r, err = walk(ev, d, re); err != nil {
+		return l, r, nil, err
+	}
+	cols, err = e.Schema()
+	return l, r, cols, err
+}
+
+// concrete is the evaluation domain: parts tabulate their row sets.
+// While a plan is being built, each step first runs the bounds step on
+// the bounds of its real inputs, which charges the node its estimate —
+// computed before the node's own work, so an error still leaves it on
+// the node.
+type concrete struct{ *evaluator }
+
+// bound abstracts a part: its origins, the rows it can tabulate (the
+// alternatives' total for a tabulated body, one per joint choice for a
+// template body), and its template body.
+func (c concrete) bound(p *part) bpart {
+	b := bpart{origins: p.origins, tmpl: p.tmpl}
+	if p.tmpl != nil {
+		b.rows = c.originsProduct(p.origins)
+		return b
+	}
+	for _, alt := range p.alts {
+		b.rows = satAdd(b.rows, int64(len(alt)))
+	}
+	return b
+}
+
+// bounds returns d's image in the bounds domain.
+func (c concrete) bounds(d dRel) drel[bpart] {
+	bs := make([]bpart, len(d.parts))
+	for i := range d.parts {
+		bs[i] = c.bound(&d.parts[i])
+	}
+	return drel[bpart]{cols: d.cols, parts: bs}
+}
+
+func (c concrete) constRel(n algebra.ConstRel) []part {
+	if c.plan != nil {
+		bounds(c).constRel(n)
+	}
+	rows := make([]sym.Tuple, 0, len(n.Rows))
+	for _, r := range n.Rows {
+		rows = append(rows, rel.Fact(r).Intern())
+	}
+	return constPart(sortDedupTuples(rows))
+}
+
+func (c concrete) scan(name string) []part {
+	if c.plan != nil {
+		bounds(c).scan(name)
+	}
+	return c.scanParts(name)
+}
+
+func (c concrete) project(in dRel, idx []int) []part {
+	if c.plan != nil {
+		bounds(c).project(c.bounds(in), idx)
+	}
+	return tupleLocal(in, func(t *tmplPart) *tmplPart { return t.project(idx) },
+		func(t sym.Tuple) (sym.Tuple, bool) {
+			g := make(sym.Tuple, len(idx))
+			for i, j := range idx {
+				g[i] = t[j]
+			}
+			return g, true
+		})
+}
+
+func (c concrete) selection(in dRel, preds []resolvedPred) []part {
+	if c.plan != nil {
+		bounds(c).selection(c.bounds(in), preds)
+	}
+	return tupleLocal(in, func(t *tmplPart) *tmplPart { return t.selection(preds) },
+		func(t sym.Tuple) (sym.Tuple, bool) {
+			for _, p := range preds {
+				if !p.holds(t) {
+					return nil, false
+				}
+			}
+			return t, true
+		})
+}
+
+// tupleLocal applies a tuple-local operator: symbolically to template
+// parts (narrow returns the new body, nil for a statically empty part),
+// row by row to tabulated parts (see mapPart).
+func tupleLocal(in dRel, narrow func(*tmplPart) *tmplPart, f func(sym.Tuple) (sym.Tuple, bool)) []part {
+	var out dRel
+	for i := range in.parts {
+		p := &in.parts[i]
+		if p.tmpl == nil {
+			mapPart(&out, p, f)
+		} else if t := narrow(p.tmpl); t != nil {
+			out.parts = append(out.parts, templatePart(t))
+		}
+	}
+	return out.parts
+}
+
+func (c concrete) rename(in dRel) []part {
+	if c.plan != nil {
+		bounds(c).rename(c.bounds(in))
+	}
+	return in.parts
+}
+
+func (c concrete) join(l, r dRel, cols []string) ([]part, error) {
+	if c.plan != nil {
+		bounds(c).join(c.bounds(l), c.bounds(r), cols)
+	}
+	out, err := c.joinRels(l, r, cols)
+	return out.parts, err
+}
+
+func (c concrete) union(l, r dRel) []part {
+	if c.plan != nil {
+		bounds(c).union(c.bounds(l), c.bounds(r))
+	}
+	parts := make([]part, 0, len(l.parts)+len(r.parts))
+	parts = append(parts, l.parts...)
+	return append(parts, r.parts...)
+}
+
+func (c concrete) diff(l, r dRel) ([]part, error) {
+	if c.plan != nil {
+		bounds(c).diff(c.bounds(l), c.bounds(r))
+	}
+	out, err := c.diffRels(&l, &r)
+	return out.parts, err
+}
+
+func (c concrete) possible(in dRel) ([]part, error) {
+	if c.plan != nil {
+		bounds(c).possible(c.bounds(in))
+	}
+	rows, err := c.supportRows(&in)
+	return constPart(rows), err
+}
+
+func (c concrete) certain(in dRel) ([]part, error) {
+	if c.plan != nil {
+		bounds(c).certain(c.bounds(in))
+	}
+	rows, err := c.certainRows(&in)
+	return constPart(rows), err
+}
+
+// choiceOf needs the operand's support before it can be priced: the
+// pick's synthetic unit ranges over the real support, where costing
+// can only use its bound.
+func (c concrete) choiceOf(in dRel) ([]part, error) {
+	support, err := c.supportRows(&in)
+	if err != nil {
+		return nil, err
+	}
+	u := -1
+	if len(support) > 0 {
+		u = c.addUnit(len(support))
+	}
+	if c.plan != nil {
+		bounds(c).choose(c.bounds(in).parts, int64(len(support)), u)
+	}
+	out, err := c.choiceRel(&in, support, u)
+	return out.parts, err
+}
+
+// constPart is the decomposed form of a choice-independent row set: one
+// origin-free part, or no part at all for the empty set.
+func constPart(rows []sym.Tuple) []part {
+	if len(rows) == 0 {
+		return nil
+	}
+	return []part{{alts: [][]sym.Tuple{rows}}}
 }
 
 // supportRows computes the support of a decomposed relation: the union
@@ -1057,17 +1177,16 @@ func (ev *evaluator) certainRows(in *dRel) ([]sym.Tuple, error) {
 	return sortDedupTuples(rows), nil
 }
 
-// choiceRel builds choiceof(e): a fresh synthetic unit ranges over the
-// operand's support, and in each world the value is the chosen tuple
+// choiceRel builds choiceof(e): the fresh synthetic unit u ranges over
+// the operand's support, and in each world the value is the chosen tuple
 // when the operand offers it there. In worlds where the chosen tuple is
 // absent the value collapses onto the first available tuple — a
 // duplicate of the world another choice already produces, so the
 // represented world set is exact — and an empty operand stays empty.
-func (ev *evaluator) choiceRel(in *dRel, support []sym.Tuple) (dRel, error) {
+func (ev *evaluator) choiceRel(in *dRel, support []sym.Tuple, u int) (dRel, error) {
 	if len(support) == 0 {
 		return dRel{cols: in.cols}, nil
 	}
-	u := ev.addUnit(len(support))
 	var origins []int
 	for i := range in.parts {
 		origins = mergeOrigins(origins, in.parts[i].origins)
