@@ -153,6 +153,12 @@ func appendHistory(path string, results []experiments.BenchResult) error {
 	return err
 }
 
+// runProbe runs one named probe for runCheck (a test seam: the exit-code
+// tests substitute synthetic results).
+var runProbe = func(name string) []experiments.BenchResult {
+	return experiments.RunBenchmarks(name, 0)
+}
+
 // runCheck is the benchmark regression guard: re-run the gated probes
 // sequentially (their baseline-comparable configuration) and compare
 // against the committed baseline.
@@ -178,7 +184,7 @@ func runCheck(baselinePath, historyPath string, stdout, stderr io.Writer) int {
 			broken = append(broken, fmt.Sprintf("%s: gated probe is not registered in benchProbes", name))
 			continue
 		}
-		res := experiments.RunBenchmarks(name, 0)
+		res := runProbe(name)
 		if len(res) == 0 {
 			broken = append(broken, fmt.Sprintf("%s: probe ran zero iterations (b.Skip or b.Fatal inside the probe)", name))
 			continue

@@ -61,19 +61,21 @@ func TestBenchJSONGolden(t *testing.T) {
 	}
 }
 
-// TestCheckExitCodes exercises the regression guard with synthetic
-// baselines, so the test is insensitive to machine speed: an enormous
-// baseline can never regress (exit 0), a tiny one always does (exit 1),
-// and unreadable baselines are usage errors (exit 2).
+// TestCheckExitCodes exercises the regression guard on synthetic
+// results (every gated probe at 1000 ns/op and 10 allocs/op) against
+// synthetic baselines: an enormous baseline can never regress (exit 0),
+// a tiny ns/op or allocs/op one always does (exit 1), and unreadable
+// baselines are usage errors (exit 2).
 func TestCheckExitCodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the gated probes twice")
+	known := experiments.KnownProbes()
+	defer func(orig func(string) []experiments.BenchResult) { runProbe = orig }(runProbe)
+	runProbe = func(name string) []experiments.BenchResult {
+		return []experiments.BenchResult{{Name: name, N: 1, NsPerOp: 1000, AllocsPerOp: 10, Workers: known[name]}}
 	}
-	writeBaseline := func(ns float64) string {
-		known := experiments.KnownProbes()
+	writeBaseline := func(ns float64, allocs int64) string {
 		var results []experiments.BenchResult
 		for _, name := range experiments.GatedProbes {
-			results = append(results, experiments.BenchResult{Name: name, N: 1, NsPerOp: ns, Workers: known[name]})
+			results = append(results, experiments.BenchResult{Name: name, N: 1, NsPerOp: ns, AllocsPerOp: allocs, Workers: known[name]})
 		}
 		data, err := json.Marshal(results)
 		if err != nil {
@@ -86,22 +88,25 @@ func TestCheckExitCodes(t *testing.T) {
 		return path
 	}
 
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-check", writeBaseline(1e15)}, &stdout, &stderr); code != 0 {
-		t.Errorf("huge baseline: exit %d, want 0; stderr: %s", code, stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-check", writeBaseline(1e-3)}, &stdout, &stderr); code != 1 {
-		t.Errorf("tiny baseline: exit %d, want 1; stderr: %s", code, stderr.String())
-	}
-	if !bytes.Contains(stderr.Bytes(), []byte("REGRESSION")) {
-		t.Errorf("regression report missing from stderr: %s", stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-check", filepath.Join(t.TempDir(), "absent.json")}, &stdout, &stderr); code != 2 {
-		t.Errorf("missing baseline file: exit %d, want 2", code)
+	for _, tc := range []struct {
+		name   string
+		path   string
+		want   int
+		report string
+	}{
+		{"huge baseline", writeBaseline(1e15, 0), 0, ""},
+		{"tiny ns/op baseline", writeBaseline(1e-3, 0), 1, "ns/op"},
+		{"tiny allocs/op baseline", writeBaseline(1e15, 5), 1, "allocs/op"},
+		{"missing baseline file", filepath.Join(t.TempDir(), "absent.json"), 2, ""},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-check", tc.path}, &stdout, &stderr); code != tc.want {
+			t.Errorf("%s: exit %d, want %d; stderr: %s", tc.name, code, tc.want, stderr.String())
+		}
+		reported := bytes.Contains(stderr.Bytes(), []byte("REGRESSION")) && bytes.Contains(stderr.Bytes(), []byte(tc.report))
+		if tc.report != "" && !reported {
+			t.Errorf("%s: regression report missing from stderr: %s", tc.name, stderr.String())
+		}
 	}
 }
 

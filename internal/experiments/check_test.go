@@ -1,9 +1,33 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// TestCISmokeNamesGatedProbes: the -bench regex of CI's "Gated
+// benchmarks (smoke)" step names exactly GatedProbes, so a probe added
+// to the gate is also smoke-run on every push (and vice versa).
+func TestCISmokeNamesGatedProbes(t *testing.T) {
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)- name: Gated benchmarks \(smoke\)\n\s+run: .*-bench '([^']*)'`).FindSubmatch(ci)
+	if m == nil {
+		t.Fatal("ci.yml has no \"Gated benchmarks (smoke)\" step with a -bench regex")
+	}
+	smoke := strings.Split(string(m[1]), "|")
+	gated := slices.Clone(GatedProbes)
+	slices.Sort(smoke)
+	slices.Sort(gated)
+	if !slices.Equal(smoke, gated) {
+		t.Fatalf("CI smoke regex names %v,\nGatedProbes is %v", smoke, gated)
+	}
+}
 
 // results builds one BenchResult per gated probe; missing ns values
 // repeat the last given one, so the tests stay valid as probes are added.

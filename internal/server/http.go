@@ -207,12 +207,34 @@ func (s *Server) doHTTP(r *http.Request, req *Request) (*Response, *obs.Trace, e
 	return resp, tr, nil
 }
 
+// maxBodyBytes bounds the request bodies the API reads. A larger body
+// is refused whole (413), never cut short and acted on in part.
+const maxBodyBytes = 1 << 20
+
+// writeBodyError answers a failed body read or decode: 413 when the
+// body is larger than maxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	status := 400
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, badRequest("body: %v", err))
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, 400, badRequest("body: %v", err))
+	err := dec.Decode(&req)
+	if err == nil {
+		// Read to the end so the bound also covers whatever follows
+		// the decoded value.
+		_, err = io.Copy(io.Discard, body)
+	}
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	resp, tr, err := s.doHTTP(r, &req)
@@ -233,9 +255,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, 400, badRequest("missing db parameter"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, 400, badRequest("body: %v", err))
+		writeBodyError(w, err)
 		return
 	}
 	resp, tr, err := s.doHTTP(r, &Request{DB: name, Op: "write", Update: string(body)})

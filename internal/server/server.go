@@ -585,14 +585,6 @@ func (s *Server) Do(req *Request) (*Response, error) {
 	return s.DoCall(req, CallOptions{})
 }
 
-// DoTraced answers one request with an optional trace attached: spans
-// and cost counters record into tr (nil tr: exactly Do, except that
-// cost counters still accumulate into a request-local sink so the
-// slow-query log can report them).
-func (s *Server) DoTraced(req *Request, tr *obs.Trace) (*Response, error) {
-	return s.DoCall(req, CallOptions{Trace: tr})
-}
-
 // DoCall answers one request under explicit CallOptions. Every request
 // lands one entry in the flight recorder; failures additionally mark
 // the trace root with the error class so an error response still
@@ -1172,10 +1164,11 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 			defer s.acquire(rc)()
 			sp := rc.span("eval")
 			defer sp.End()
-			// EvalOptimized over EvalObserved: planning plus the plan
-			// cost microseconds next to the evaluation they describe,
-			// and keeping the plan in the cache entry lets explain
-			// requests on cache hits answer without re-evaluating.
+			// EvalOptimized rather than a bare evaluation: planning plus
+			// the plan cost microseconds next to the evaluation they
+			// describe, and keeping the plan in the cache entry lets
+			// explain requests on cache hits answer without
+			// re-evaluating.
 			out, plan, err := wsdalg.EvalOptimized(v.wsd, q, rc.cost)
 			if err != nil {
 				sp.SetError(errorClass(err))

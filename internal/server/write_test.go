@@ -211,6 +211,35 @@ func TestUpdateHTTPEndpoint(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyTooLarge: a body past the 1 MiB bound is refused whole
+// with 413 — an @update program whose first MiB parses is not applied
+// in part, and an oversize /query body is not decoded from its prefix.
+func TestHTTPBodyTooLarge(t *testing.T) {
+	s, _ := newWriteServer(t)
+	// The first MiB is exactly a valid program (comment lines pad it
+	// out); one more line follows.
+	const head, last = "@update\n", "  insert: R(c)\n"
+	var b strings.Builder
+	b.WriteString(head)
+	for rest := 1<<20 - len(head) - len(last); rest > 0; {
+		n := min(rest, 1000)
+		b.WriteString("#" + strings.Repeat("x", n-2) + "\n")
+		rest -= n
+	}
+	b.WriteString(last + "  insert: R(d)\n")
+	httpJSON(t, s, "POST", "/update?db=db", b.String(), 413, nil)
+	var info []server.DBInfo
+	httpJSON(t, s, "GET", "/dbs", "", 200, &info)
+	if len(info) != 1 || info[0].Version != 1 {
+		t.Fatalf("oversize update changed the database: %+v", info)
+	}
+
+	query := `{"db":"db","op":"count"}`
+	httpJSON(t, s, "POST", "/query", query+strings.Repeat(" ", 1<<20), 413, nil)
+	httpJSON(t, s, "POST", "/query", `{"db":"db","op":"write","update":"`+strings.Repeat(`\n`, 1<<19)+`"}`, 413, nil)
+	httpJSON(t, s, "POST", "/query", query, 200, nil)
+}
+
 // TestUpdateHammer is the no-torn-reads proof: writers toggle a marker
 // fact, a reloader resets to the base file, and readers continuously
 // snapshot certain/possible answers. Every observed answer text must be

@@ -277,22 +277,22 @@ func (b bounds) bound(p *bpart) bpart { return *p }
 // stats summarizes bounds as an estimate: parts, distinct choice units,
 // total row bound. Tuple-local operators can only shrink all three.
 func (b bounds) stats(ps []bpart) PlanStats {
-	s := PlanStats{Parts: int64(len(ps)), Units: units(ps)}
+	s := PlanStats{Parts: int64(len(ps)), Units: int64(len(allOrigins(ps)))}
 	for i := range ps {
 		s.Rows = satAdd(s.Rows, ps[i].rows)
 	}
 	return s
 }
 
-// units counts the distinct choice units the parts depend on.
-func units(pss ...[]bpart) int64 {
+// allOrigins returns the choice units the parts depend on (sorted).
+func allOrigins(pss ...[]bpart) []int {
 	var us []int
 	for _, ps := range pss {
 		for i := range ps {
 			us = mergeOrigins(us, ps[i].origins)
 		}
 	}
-	return int64(len(us))
+	return us
 }
 
 func (b bounds) constRel(n algebra.ConstRel) []bpart {
@@ -379,7 +379,8 @@ func (b bounds) rename(in drel[bpart]) []bpart {
 // on ErrEntangled — which only makes the actual smaller), and each
 // pair's rows multiply the operands' row bounds.
 func (b bounds) join(l, r drel[bpart], _ []string) ([]bpart, error) {
-	s := PlanStats{Parts: satMul(int64(len(l.parts)), int64(len(r.parts))), Units: units(l.parts, r.parts)}
+	s := PlanStats{Parts: satMul(int64(len(l.parts)), int64(len(r.parts))),
+		Units: int64(len(allOrigins(l.parts, r.parts)))}
 	out := make([]bpart, 0, len(l.parts)*len(r.parts))
 	for _, lp := range l.parts {
 		for _, rp := range r.parts {
@@ -411,11 +412,8 @@ func (b bounds) diff(l, r drel[bpart]) ([]bpart, error) {
 		b.charge(b.stats(l.parts), 0)
 		return l.parts, nil
 	}
-	var rOrigins []int
-	for i := range r.parts {
-		rOrigins = mergeOrigins(rOrigins, r.parts[i].origins)
-	}
-	s := PlanStats{Parts: int64(len(l.parts)), Units: units(l.parts, r.parts)}
+	rOrigins := allOrigins(r.parts)
+	s := PlanStats{Parts: int64(len(l.parts)), Units: int64(len(allOrigins(l.parts, r.parts)))}
 	out := make([]bpart, 0, len(l.parts))
 	for _, lp := range l.parts {
 		origins := unionOrigins(lp.origins, rOrigins)
@@ -493,10 +491,7 @@ func (b bounds) choose(in []bpart, n int64, u int) []bpart {
 		b.charge(s, 0)
 		return nil
 	}
-	var origins []int
-	for _, p := range in {
-		origins = mergeOrigins(origins, p.origins)
-	}
+	origins := allOrigins(in)
 	prod := satMul(b.originsProduct(origins), n)
 	s.sweep(prod)
 	s.Units = int64(len(origins)) + 1

@@ -27,12 +27,12 @@
 // Cost prediction is a walk of the candidate form in the bounds domain
 // (plan.go): the same part propagation as evaluation — symbolic
 // template narrowing included — carrying only origin sets and row
-// bounds, never tabulating. Each node charges its Est figures, the very
-// ones EXPLAIN shows (joins also charge their pairwise row-match work,
-// the term σ-pushdown shrinks), so what the planner minimizes is what
-// EXPLAIN shows. All rewrites are equivalences of the world-set
-// algebra; results are bit-identical to the naive form (the
-// differential suite races both).
+// bounds, never tabulating. Each node charges the Est figures EXPLAIN
+// shows (joins also charge their pairwise row-match work, the term
+// σ-pushdown shrinks), so what the planner minimizes is what EXPLAIN
+// shows. All rewrites are equivalences of the world-set algebra;
+// results are bit-identical to the naive form (the differential suite
+// races both).
 package wsdalg
 
 import (
@@ -268,7 +268,7 @@ func foldSelect(c algebra.ConstRel, preds []algebra.Pred) (algebra.Expr, bool) {
 			return k, true
 		}
 		col, _ := o.Column()
-		i := indexOf(c.Cols, col)
+		i := slices.Index(c.Cols, col)
 		if i < 0 {
 			return "", false
 		}
@@ -310,7 +310,7 @@ func renamePred(p algebra.Pred, from, to []string, child []string) (algebra.Pred
 				break
 			}
 		}
-		if indexOf(child, col) < 0 {
+		if !slices.Contains(child, col) {
 			return o, false
 		}
 		return algebra.Col(col), true
@@ -338,7 +338,7 @@ func predColumns(p algebra.Pred) []string {
 
 func colsSubset(cols, in []string) bool {
 	for _, c := range cols {
-		if indexOf(in, c) < 0 {
+		if !slices.Contains(in, c) {
 			return false
 		}
 	}
@@ -392,7 +392,7 @@ func pruneExpr(e algebra.Expr, needed []string) algebra.Expr {
 		childNeeded = orderCols(child, childNeeded)
 		var from, to []string
 		for i, f := range n.From {
-			if indexOf(childNeeded, f) >= 0 {
+			if slices.Contains(childNeeded, f) {
 				from = append(from, f)
 				to = append(to, n.To[i])
 			}
@@ -404,7 +404,7 @@ func pruneExpr(e algebra.Expr, needed []string) algebra.Expr {
 		have := make([]string, len(childNeeded))
 		copy(have, childNeeded)
 		for i, c := range have {
-			if j := indexOf(from, c); j >= 0 {
+			if j := slices.Index(from, c); j >= 0 {
 				have[i] = to[j]
 			}
 		}
@@ -417,7 +417,7 @@ func pruneExpr(e algebra.Expr, needed []string) algebra.Expr {
 		}
 		var shared []string
 		for _, c := range rCols {
-			if indexOf(lCols, c) >= 0 {
+			if slices.Contains(lCols, c) {
 				shared = append(shared, c)
 			}
 		}
@@ -427,7 +427,7 @@ func pruneExpr(e algebra.Expr, needed []string) algebra.Expr {
 		out := algebra.Expr(algebra.Join{L: pruneExpr(n.L, needL), R: pruneExpr(n.R, needR)})
 		have := append([]string(nil), needL...)
 		for _, c := range needR {
-			if indexOf(needL, c) < 0 {
+			if !slices.Contains(needL, c) {
 				have = append(have, c)
 			}
 		}
@@ -462,7 +462,7 @@ func wrapProject(e algebra.Expr, needed, have []string) algebra.Expr {
 
 func addCols(dst []string, src []string) []string {
 	for _, c := range src {
-		if indexOf(dst, c) < 0 {
+		if !slices.Contains(dst, c) {
 			dst = append(dst, c)
 		}
 	}
@@ -474,7 +474,7 @@ func addCols(dst []string, src []string) []string {
 func orderCols(schema []string, set []string) []string {
 	out := make([]string, 0, len(set))
 	for _, c := range schema {
-		if indexOf(set, c) >= 0 {
+		if slices.Contains(set, c) {
 			out = append(out, c)
 		}
 	}

@@ -217,7 +217,7 @@ func TestJoinReorderKeepsColumnOrder(t *testing.T) {
 }
 
 func TestDryCostMatchesEstimateScale(t *testing.T) {
-	// The dry model must price the naive sensors query at least as high
+	// The cost model must price the naive sensors query at least as high
 	// as the σ-pushed one: pushing #v=hi below the join drops the lo
 	// branches before they multiply with D.
 	w := sensorsWithDim(t)

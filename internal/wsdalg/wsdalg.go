@@ -77,6 +77,7 @@ package wsdalg
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -742,12 +743,7 @@ func (ev *evaluator) unitOf(ci, slot int) int {
 
 // relIndex returns the schema position of relation name in w, or -1.
 func relIndex(w *wsd.WSD, name string) int {
-	for i, s := range w.Schema() {
-		if s.Name == name {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(w.Schema(), func(s table.SchemaRel) bool { return s.Name == name })
 }
 
 // addUnit appends a synthetic choice unit — a fresh independent axis
@@ -859,7 +855,7 @@ func step[P any](ev *evaluator, d domain[P], e algebra.Expr) (drel[P], error) {
 		}
 		idx := make([]int, len(n.Cols))
 		for i, c := range n.Cols {
-			idx[i] = indexOf(in.cols, c)
+			idx[i] = slices.Index(in.cols, c)
 		}
 		out.cols = n.Cols
 		out.parts = d.project(in, idx)
@@ -1282,7 +1278,7 @@ func containsTuple(rows []sym.Tuple, t sym.Tuple) bool {
 func (ev *evaluator) joinRels(l, r dRel, cols []string) (dRel, error) {
 	var lShared, rShared, rExtra []int
 	for j, c := range r.cols {
-		if i := indexOf(l.cols, c); i >= 0 {
+		if i := slices.Index(l.cols, c); i >= 0 {
 			lShared = append(lShared, i)
 			rShared = append(rShared, j)
 		} else {
@@ -1436,7 +1432,7 @@ func resolveOperand(o algebra.Operand, cols []string) (idx int, id sym.ID, err e
 		return -1, sym.Const(c), nil
 	}
 	col, _ := o.Column()
-	j := indexOf(cols, col)
+	j := slices.Index(cols, col)
 	if j < 0 {
 		return 0, 0, fmt.Errorf("wsdalg: select column %s not in %v", col, cols)
 	}
@@ -1485,13 +1481,4 @@ func mergeOrigins(dst, src []int) []int {
 		dst[i] = o
 	}
 	return dst
-}
-
-func indexOf(cols []string, c string) int {
-	for i, x := range cols {
-		if x == c {
-			return i
-		}
-	}
-	return -1
 }

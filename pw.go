@@ -403,13 +403,14 @@ func PossibleAnswers(q Query, d *Database) (*Instance, error) {
 	return decide.PossibleAnswers(q, d)
 }
 
-// ApplyWSD evaluates a positive relational-algebra query directly on a
+// ApplyWSD evaluates a relational-algebra query directly on a
 // world-set decomposition, returning a normalized decomposition of the
 // answer world-set: rep(ApplyWSD(q, w)) = {q(W) : W ∈ rep(w)}. No world
 // is enumerated: component-local operators map alternatives pointwise
 // and cross-component joins recombine only the components they touch.
-// Queries outside the fragment (FO, DATALOG, algebra with ≠) error with
-// ErrUnsupportedQuery.
+// The whole extended algebra evaluates — ≠ selections, difference and
+// the world-set operators possible, certain and choiceof; first-order
+// and DATALOG queries error with ErrUnsupportedQuery.
 func ApplyWSD(q Query, w *WSD) (*WSD, error) { return wsdalg.Eval(w, q) }
 
 // PossibleAnswersWSD computes every possible answer fact of q over the
@@ -437,6 +438,6 @@ func ContainedViewsWSD(q0 Query, d0 *WSD, q Query, d *WSD) (bool, error) {
 }
 
 // ErrUnsupportedQuery is returned (wrapped) by the WSD query entry
-// points for queries outside the decomposition-evaluable fragment
-// (positive existential algebra plus the identity query).
+// points for queries outside the decomposition-evaluable fragment (the
+// extended relational algebra plus the identity query).
 var ErrUnsupportedQuery = wsdalg.ErrUnsupported
