@@ -560,7 +560,8 @@ type dRel = drel[part]
 // values, and a per-relation scan cache (the same base relation scanned
 // twice shares its parts; parts are never mutated after construction).
 // Both domains run on it: priced accumulates every node's estimate
-// (see charge), which is the planner's static cost of a bounds walk.
+// (see bounds.charge), which is the planner's static cost of a bounds
+// walk.
 //
 // A unit is one independent choice axis of the input: a whole
 // tuple-level component, or one open slot (two or more values) of an
@@ -587,7 +588,7 @@ type evaluator struct {
 
 // scanCache holds one request's base-relation scans, shared by every
 // fork: each relation's tabulated parts and their bounds, and the row
-// total of the scan estimate (set with the first bounds).
+// total of the scan estimate (computed by the first bounds scan).
 type scanCache struct {
 	parts  map[string][]part
 	bounds map[string][]bpart
@@ -969,8 +970,8 @@ func (c concrete) bound(p *part) bpart {
 	return b
 }
 
-// bounds returns d's image in the bounds domain.
-func (c concrete) bounds(d dRel) drel[bpart] {
+// lift returns d's image in the bounds domain.
+func (c concrete) lift(d dRel) drel[bpart] {
 	bs := make([]bpart, len(d.parts))
 	for i := range d.parts {
 		bs[i] = c.bound(&d.parts[i])
@@ -998,7 +999,7 @@ func (c concrete) scan(name string) []part {
 
 func (c concrete) project(in dRel, idx []int) []part {
 	if c.plan != nil {
-		bounds(c).project(c.bounds(in), idx)
+		bounds(c).project(c.lift(in), idx)
 	}
 	return tupleLocal(in, func(t *tmplPart) *tmplPart { return t.project(idx) },
 		func(t sym.Tuple) (sym.Tuple, bool) {
@@ -1012,7 +1013,7 @@ func (c concrete) project(in dRel, idx []int) []part {
 
 func (c concrete) selection(in dRel, preds []resolvedPred) []part {
 	if c.plan != nil {
-		bounds(c).selection(c.bounds(in), preds)
+		bounds(c).selection(c.lift(in), preds)
 	}
 	return tupleLocal(in, func(t *tmplPart) *tmplPart { return t.selection(preds) },
 		func(t sym.Tuple) (sym.Tuple, bool) {
@@ -1043,14 +1044,14 @@ func tupleLocal(in dRel, narrow func(*tmplPart) *tmplPart, f func(sym.Tuple) (sy
 
 func (c concrete) rename(in dRel) []part {
 	if c.plan != nil {
-		bounds(c).rename(c.bounds(in))
+		bounds(c).rename(c.lift(in))
 	}
 	return in.parts
 }
 
 func (c concrete) join(l, r dRel, cols []string) ([]part, error) {
 	if c.plan != nil {
-		bounds(c).join(c.bounds(l), c.bounds(r), cols)
+		bounds(c).join(c.lift(l), c.lift(r), cols)
 	}
 	out, err := c.joinRels(l, r, cols)
 	return out.parts, err
@@ -1058,7 +1059,7 @@ func (c concrete) join(l, r dRel, cols []string) ([]part, error) {
 
 func (c concrete) union(l, r dRel) []part {
 	if c.plan != nil {
-		bounds(c).union(c.bounds(l), c.bounds(r))
+		bounds(c).union(c.lift(l), c.lift(r))
 	}
 	parts := make([]part, 0, len(l.parts)+len(r.parts))
 	parts = append(parts, l.parts...)
@@ -1067,7 +1068,7 @@ func (c concrete) union(l, r dRel) []part {
 
 func (c concrete) diff(l, r dRel) ([]part, error) {
 	if c.plan != nil {
-		bounds(c).diff(c.bounds(l), c.bounds(r))
+		bounds(c).diff(c.lift(l), c.lift(r))
 	}
 	out, err := c.diffRels(&l, &r)
 	return out.parts, err
@@ -1075,7 +1076,7 @@ func (c concrete) diff(l, r dRel) ([]part, error) {
 
 func (c concrete) possible(in dRel) ([]part, error) {
 	if c.plan != nil {
-		bounds(c).possible(c.bounds(in))
+		bounds(c).possible(c.lift(in))
 	}
 	rows, err := c.supportRows(&in)
 	return constPart(rows), err
@@ -1083,7 +1084,7 @@ func (c concrete) possible(in dRel) ([]part, error) {
 
 func (c concrete) certain(in dRel) ([]part, error) {
 	if c.plan != nil {
-		bounds(c).certain(c.bounds(in))
+		bounds(c).certain(c.lift(in))
 	}
 	rows, err := c.certainRows(&in)
 	return constPart(rows), err
@@ -1102,7 +1103,7 @@ func (c concrete) choiceOf(in dRel) ([]part, error) {
 		u = c.addUnit(len(support))
 	}
 	if c.plan != nil {
-		bounds(c).choose(c.bounds(in).parts, int64(len(support)), u)
+		bounds(c).choose(c.lift(in).parts, int64(len(support)), u)
 	}
 	out, err := c.choiceRel(&in, support, u)
 	return out.parts, err
